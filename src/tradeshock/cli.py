@@ -324,7 +324,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Validate every scenario before running any, so bad arguments exit 1.
     tasks: list[tuple[str, int, ScenarioConfig]] = []
     seen: set[str] = set()
-    for spec in manifest["scenarios"]:
+    for number, spec in enumerate(manifest["scenarios"], start=1):
+        if not isinstance(spec, dict):
+            raise ValueError(f"scenario {number} must be a JSON object")
+        for key in ("target_kind", "indicator"):
+            if key not in spec:
+                raise ValueError(f"scenario {number} is missing {key!r}")
         for year in years:
             kind = TargetKind(spec["target_kind"])
             indicator = IndicatorKind(spec["indicator"])

@@ -55,6 +55,21 @@ def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
     return dijkstra(graph, directed=True, indices=sources)
 
 
+def _pair_efficiencies(costs: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Pair efficiencies of cost rows, the k-th row having source ``sources[k]``."""
+    with np.errstate(divide="ignore"):
+        pair_eff = 1.0 / costs
+    pair_eff[np.arange(len(sources)), sources] = 0.0  # a node with itself: cost 0 -> inf
+    pair_eff[np.isinf(costs)] = 0.0  # unreachable pairs contribute nothing
+    return pair_eff
+
+
+def _mean_pair_efficiency(pair_eff: np.ndarray) -> float:
+    """Raw efficiency: the full ``N x N`` pair-efficiency matrix over N(N-1) pairs."""
+    n = pair_eff.shape[0]
+    return float(pair_eff.sum()) / (n * (n - 1))
+
+
 def path_efficiency(net: TradeNetwork, source: str, target: str) -> float:
     """Pair efficiency: reciprocal best-route length, 0 when unreachable."""
     i, j = net.index_of(source), net.index_of(target)
@@ -74,12 +89,7 @@ def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
     n = net.n_nodes
     if n < 2:
         return EfficiencyResult(0.0, 0.0, 0.0, 0, degenerate=True)
-    costs = shortest_path_costs(net)
-    with np.errstate(divide="ignore"):
-        pair_eff = 1.0 / costs
-    np.fill_diagonal(pair_eff, 0.0)  # diagonal costs are 0 -> inf
-    pair_eff[np.isinf(costs)] = 0.0  # unreachable pairs contribute nothing
-    raw = float(pair_eff.sum()) / (n * (n - 1))
+    raw = _mean_pair_efficiency(_pair_efficiencies(shortest_path_costs(net), np.arange(n)))
     reference = net.stats().mean_edge_weight
     normalized = raw / reference if reference > 0 else 0.0
     return EfficiencyResult(raw, normalized, reference, n * (n - 1))
@@ -98,3 +108,59 @@ def normalized_efficiency(net: TradeNetwork, reference_mean_weight: float) -> Ef
         base.pair_count,
         base.degenerate,
     )
+
+
+class RemovalProbe:
+    """Exact raw efficiency of a network with one element removed at a time.
+
+    The baseline distance matrix ``D`` is computed once. Removing an edge
+    ``(u, v)`` of length ``l`` can change source row ``i`` only when the edge
+    is tight there: ``D[i, u]`` is finite and ``D[i, u] + l == D[i, v]`` in
+    floating point, the same sum Dijkstra forms when it relaxes the edge.
+    Every shortest route through a node leaves it by an out-edge, so
+    removing a node changes its own column plus the rows in which one of its
+    active out-edges is tight. Its own row is one of those (its shortest
+    out-edge is tight there) unless it has no out-edge, when the row is
+    already all zero. Only those rows are run again; the others are
+    bit-identical to a full recompute, and the result is summed over the
+    whole matrix exactly as :func:`network_efficiency` sums it.
+
+    Each probe shocks the element on ``net`` and restores it before
+    returning, so ``net``'s masks are unchanged afterwards. They must not be
+    changed between probes either, since ``D`` describes the masks at build.
+    """
+
+    def __init__(self, net: TradeNetwork):
+        n = net.n_nodes
+        if n < 2:
+            raise ValueError(f"a removal probe needs at least 2 nodes, got {n}")
+        self.net = net
+        self._costs = shortest_path_costs(net)
+        self._pair_eff = _pair_efficiencies(self._costs, np.arange(n))
+        self.raw_efficiency = _mean_pair_efficiency(self._pair_eff)
+
+    def without(self, element: str | tuple[str, str]) -> float:
+        """Raw efficiency of the network with ``element`` (a node code or an edge) removed."""
+        net, d = self.net, self._costs
+        is_node = isinstance(element, str)
+        if is_node:
+            u = net.index_of(element)
+            targets = np.flatnonzero(net.active_edge_mask[u])
+            net.shock_nodes([element])
+        else:
+            u = net.index_of(element[0])
+            targets = np.array([net.index_of(element[1])])
+            net.shock_edges([element])
+        try:
+            lengths = 1.0 / net.baseline_weights[u, targets]
+            tight = (d[:, u, None] + lengths == d[:, targets]).any(axis=1)
+            tight &= np.isfinite(d[:, u])  # inf + l == inf would flag rows reaching neither end
+            rows = np.flatnonzero(tight)
+            pair_eff = self._pair_eff.copy()
+            if rows.size:
+                pair_eff[rows] = _pair_efficiencies(shortest_path_costs(net, sources=rows), rows)
+            if is_node:
+                pair_eff[:, u] = 0.0
+        finally:
+            net.restore([element])
+        return _mean_pair_efficiency(pair_eff)

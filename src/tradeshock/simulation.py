@@ -1,4 +1,4 @@
-"""Shock-recovery scenario execution and single-element impact scans.
+"""Shock-recovery scenario execution and single-element impact rankings.
 
 A scenario forks the network, freezes the baseline mean edge weight as the
 normalization reference, then removes targets in ranked batches down to the
@@ -25,7 +25,7 @@ from .centrality import (
     rank_nodes,
     strength,
 )
-from .efficiency import network_efficiency
+from .efficiency import RemovalProbe, network_efficiency
 from .network import TradeNetwork
 
 
@@ -247,25 +247,14 @@ def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomContr
     return RandomControl(mean_traj, tuple(float(x) for x in std), tuple(runs))
 
 
-def single_element_impact(net: TradeNetwork, element: str | tuple[str, str]) -> float:
-    """Drop in normalized efficiency when one node or edge is removed alone."""
-    work = net.fork()
-    reference = work.stats().mean_edge_weight
-    if reference <= 0:
-        raise ValueError("impact needs a network with at least one active edge")
-    before = _normalized_ne(work, reference)
-    if isinstance(element, str):
-        work.shock_nodes([element])
-    else:
-        work.shock_edges([tuple(element)])
-    return before - _normalized_ne(work, reference)
-
-
 def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int) -> list:
     """Most damaging single removals, as (element, impact) pairs.
 
-    Every active element is removed alone, measured, and restored on one
-    shared fork. Ties break by total strength then code for nodes, and by
+    An element's impact is the drop in normalized efficiency when it alone
+    is removed, with the network's mean edge weight as the reference. Every
+    active element is probed on one shared fork through a
+    :class:`RemovalProbe`, which reruns only the source rows the removal can
+    change. Ties break by total strength then code for nodes, and by
     (source, target) for edges.
     """
     kind = TargetKind(target_kind)
@@ -275,7 +264,8 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
     reference = work.stats().mean_edge_weight
     if reference <= 0:
         raise ValueError("impact needs a network with at least one active edge")
-    before = _normalized_ne(work, reference)
+    probe = RemovalProbe(work)
+    before = probe.raw_efficiency / reference
 
     results: list[tuple] = []
     if kind is TargetKind.nodes:
@@ -285,18 +275,13 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
             if not active[i]:
                 continue
             code = net.code_of(i)
-            work.shock_nodes([code])
-            impact = before - _normalized_ne(work, reference)
-            work.restore([code])
+            impact = before - probe.without(code) / reference
             results.append((code, impact, float(tie_strength[i])))
         results.sort(key=lambda item: (-item[1], -item[2], item[0]))
         return [(code, impact) for code, impact, _ in results[:top_k]]
 
     for edge in net.active_edges():
         pair = (edge.source, edge.target)
-        work.shock_edges([pair])
-        impact = before - _normalized_ne(work, reference)
-        work.restore([pair])
-        results.append((pair, impact))
+        results.append((pair, before - probe.without(pair) / reference))
     results.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
     return results[:top_k]

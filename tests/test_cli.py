@@ -357,6 +357,23 @@ def test_simulate_rejects_bad_manifest(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ("nodes", "scenario 1 must be a JSON object"),
+        ({"indicator": "out_degree"}, "scenario 1 is missing 'target_kind'"),
+        ({"target_kind": "nodes"}, "scenario 1 is missing 'indicator'"),
+    ],
+)
+def test_simulate_malformed_scenario_exits_one(tmp_path, capsys, scenario, message):
+    data = write_fixture(tmp_path / "trade.csv")
+    manifest = manifest_for(data, tmp_path / "out", scenarios=[scenario])
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_simulate_duplicate_scenarios_rejected(tmp_path, capsys):
     data = write_fixture(tmp_path / "trade.csv")
     out_dir = tmp_path / "out"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from tradeshock import efficiency
 from tradeshock import (
+    RemovalProbe,
     TradeNetwork,
     build_network,
     network_efficiency,
@@ -12,7 +14,15 @@ from tradeshock import (
     shortest_path_costs,
 )
 
-from netgen import codes_for, complete_uniform_network, random_network
+from netgen import (
+    codes_for,
+    complete_uniform_network,
+    connected_random_network,
+    hub_network,
+    random_network,
+    star_network,
+    two_cliques_bridge,
+)
 from oracles import all_pairs_costs, efficiency_oracle
 
 
@@ -145,3 +155,68 @@ def test_result_fields_consistent():
     assert result.normalized_efficiency == result.raw_efficiency / result.reference_mean_weight
     assert result.raw_efficiency >= 0.0
     assert math.isfinite(result.raw_efficiency)
+
+
+def extreme_weight_network() -> TradeNetwork:
+    """Weights of 1e-9 and 1e12 beside ordinary ones: long and short lengths absorb each other."""
+    rng = np.random.default_rng(5)
+    weights = rng.choice([1e-9, 1e12, 1.0, 3.7], size=(12, 12))
+    weights[rng.random((12, 12)) < 0.6] = 0.0
+    np.fill_diagonal(weights, 0.0)
+    return TradeNetwork(codes_for(12), weights)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        star_network,
+        two_cliques_bridge,
+        lambda: connected_random_network(np.random.default_rng(100), 20, 0.2),
+        lambda: random_network(np.random.default_rng(7), 60, 0.03),  # has unreachable pairs
+        lambda: hub_network(n=41, n_hubs=5),
+        extreme_weight_network,
+    ],
+    ids=["star", "bridge", "connected20", "sparse60", "hub41", "extreme_weights"],
+)
+def test_removal_probe_equals_full_recompute(make):
+    net = make()
+    nodes, edges = net.active_node_mask, net.active_edge_mask
+    probe = RemovalProbe(net)
+    assert probe.raw_efficiency == network_efficiency(net).raw_efficiency
+    elements = list(net.codes) + [(e.source, e.target) for e in net.active_edges()]
+    for element in elements:
+        work = net.fork()
+        if isinstance(element, str):
+            work.shock_nodes([element])
+        else:
+            work.shock_edges([element])
+        assert probe.without(element) == network_efficiency(work).raw_efficiency, element
+    assert np.array_equal(net.active_node_mask, nodes)
+    assert np.array_equal(net.active_edge_mask, edges)
+
+
+def test_removal_probe_reruns_only_rows_the_removal_can_change(monkeypatch):
+    net = two_cliques_bridge()
+    probe = RemovalProbe(net)
+    asked: list[int] = []
+    dijkstra = efficiency.dijkstra
+
+    def recording(graph, *args, indices=None, **kwargs):
+        asked.extend(np.atleast_1d(indices).tolist())
+        return dijkstra(graph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(efficiency, "dijkstra", recording)
+
+    def rows_for(element) -> list[str]:
+        asked.clear()
+        probe.without(element)
+        return [net.code_of(i) for i in asked]
+
+    assert rows_for(("E003", "E004")) == ["E000", "E001", "E002", "E003"]  # the bridge
+    assert rows_for(("E000", "E001")) == ["E000"]  # clique-2 rows cannot reach it
+    assert rows_for("E004") == ["E000", "E001", "E002", "E003", "E004"]
+
+
+def test_removal_probe_rejects_a_single_node_network():
+    with pytest.raises(ValueError, match="2 nodes"):
+        RemovalProbe(TradeNetwork(("A",), np.zeros((1, 1))))

@@ -14,7 +14,6 @@ from tradeshock import (
     rank_by_impact,
     run_random_control,
     run_shock_recovery,
-    single_element_impact,
 )
 
 from netgen import connected_random_network, hub_network, star_network, two_cliques_bridge
@@ -245,9 +244,14 @@ def test_random_control_needs_two_replicates(medium_net):
 # -- single-element impact --------------------------------------------------------
 
 
+def impact_of(net, element) -> float:
+    kind = "nodes" if isinstance(element, str) else "edges"
+    return dict(rank_by_impact(net, kind, top_k=10**6))[element]
+
+
 def test_impact_is_baseline_minus_masked(medium_net):
     code = medium_net.codes[3]
-    impact = single_element_impact(medium_net, code)
+    impact = impact_of(medium_net, code)
     ref = medium_net.stats().mean_edge_weight
     work = medium_net.fork()
     work.shock_nodes([code])
@@ -259,20 +263,24 @@ def test_impact_is_baseline_minus_masked(medium_net):
 
 def test_isolated_node_impact_zero():
     net = build_network([("A", "B", 2.0), ("C", "C", 1.0)])
-    assert single_element_impact(net, "C") == 0.0
+    assert impact_of(net, "C") == 0.0
 
 
 def test_impacts_nonnegative(medium_net):
-    for code in medium_net.codes[:6]:
-        assert single_element_impact(medium_net, code) >= 0.0
-    for edge in list(medium_net.active_edges())[:6]:
-        assert single_element_impact(medium_net, (edge.source, edge.target)) >= 0.0
+    for kind in ("nodes", "edges"):
+        ranked = rank_by_impact(medium_net, kind, top_k=10**6)
+        assert all(impact >= 0.0 for _, impact in ranked), kind
 
 
 def test_impact_leaves_network_intact(medium_net):
-    before = medium_net.active_weights()
-    single_element_impact(medium_net, medium_net.codes[0])
-    assert np.array_equal(medium_net.active_weights(), before)
+    net = medium_net.fork()
+    net.shock_nodes([net.codes[5]])
+    net.shock_edges([(net.codes[0], net.codes[1])])
+    nodes, edges = net.active_node_mask, net.active_edge_mask
+    for kind in ("nodes", "edges"):
+        rank_by_impact(net, kind, top_k=3)
+        assert np.array_equal(net.active_node_mask, nodes)
+        assert np.array_equal(net.active_edge_mask, edges)
 
 
 def test_bridge_edge_impact_matches_pairwise_oracle():
@@ -290,7 +298,7 @@ def test_bridge_edge_impact_matches_pairwise_oracle():
         np.fill_diagonal(m, 0.0)
         m[np.isinf(m)] = 0.0
     expected = (before - after).sum() / (n * (n - 1)) / ref
-    assert single_element_impact(net, bridge) == pytest.approx(expected, rel=1e-9)
+    assert impact_of(net, bridge) == pytest.approx(expected, rel=1e-9)
 
 
 def test_rank_by_impact_star_center_first():
