@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .efficiency import shortest_path_costs
+from .efficiency import _pair_efficiencies, shortest_path_costs
 from .network import TradeNetwork
 
 
@@ -90,12 +90,7 @@ def closeness(net: TradeNetwork, direction: str = "out") -> np.ndarray:
     n = net.n_nodes
     if n < 2:
         return np.zeros(n)
-    costs = shortest_path_costs(net)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / costs
-    np.fill_diagonal(inv, 0.0)
-    inv[np.isinf(costs)] = 0.0
-    return inv.sum(axis=axis) / (n - 1)
+    return _pair_efficiencies(shortest_path_costs(net), np.arange(n)).sum(axis=axis) / (n - 1)
 
 
 def betweenness(net: TradeNetwork) -> np.ndarray:
@@ -345,10 +340,11 @@ def _node_scores(net: TradeNetwork, indicator: IndicatorKind, seed: int | None) 
         return betweenness(net)
     if indicator is IndicatorKind.pagerank:
         return pagerank(net)
-    if indicator is IndicatorKind.hubs:
-        return hits(net)[0]
-    if indicator is IndicatorKind.authorities:
-        return hits(net)[1]
+    if indicator in (IndicatorKind.hubs, IndicatorKind.authorities):
+        if not net.active_edge_mask.any():
+            return np.zeros(net.n_nodes)  # HITS is undefined; the tie-break orders the nodes
+        hubs_vec, auth_vec = hits(net)
+        return hubs_vec if indicator is IndicatorKind.hubs else auth_vec
     if indicator is IndicatorKind.clustering:
         return clustering(net)
     if indicator in _MODULE_INDICATORS:

@@ -9,11 +9,11 @@ Subcommands:
 - simulate    batches of shock-recovery scenarios, written to an output dir
 
 `simulate` accepts either a JSON manifest or flags, runs every
-(year, scenario) combination — optionally across worker threads — and
-writes one trajectory CSV per run plus a combined report table and a
-machine-readable summary. All output is deterministic for a fixed input
-and master seed: scenario seeds are derived from the run id, floats are
-serialized with full round-trip precision, and rows are sorted.
+(year, scenario) combination, and writes one trajectory CSV per run plus
+a combined report table and a machine-readable summary. All output is
+deterministic for a fixed input and master seed: scenario seeds are
+derived from the run id, floats are serialized with full round-trip
+precision, and rows are sorted.
 
 Exit codes: 0 on success, 1 for bad input or arguments, 2 when one or
 more scenarios fail at runtime (completed runs are still written).
@@ -28,11 +28,9 @@ import os
 import sys
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .centrality import IndicatorKind, rank_edges, rank_nodes
 from .efficiency import network_efficiency
@@ -40,10 +38,10 @@ from .ingest import FLOWS, ParseReport, TradeFileError, parse_trade_file, build_
 from .network import TradeNetwork
 from .resilience import summarize
 from .simulation import (
-    Phase,
     RecoveryOrder,
     ScenarioConfig,
     TargetKind,
+    child_seed,
     rank_by_impact,
     run_random_control,
     run_shock_recovery,
@@ -60,6 +58,15 @@ _REPORT_HEADER = (
     "NE0",
 )
 _TRAJECTORY_HEADER = ("run_id", "year", "indicator", "target_kind", "t", "phase", "NE", "NE_std")
+# simulate flags that set the scenario key of the same name when given; a flag
+# left out is left out of the scenario, so the default is ScenarioConfig's.
+_SCENARIO_FLAGS = (
+    "batch_fraction",
+    "shock_depth",
+    "recovery_order",
+    "replicates",
+    "recompute_rankings",
+)
 
 
 def _fmt(x: float) -> str:
@@ -208,19 +215,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _scenario_config(spec: dict, run_seed: int) -> ScenarioConfig:
-    return ScenarioConfig(
-        target_kind=TargetKind(spec["target_kind"]),
-        indicator=IndicatorKind(spec["indicator"]),
-        batch_fraction=float(spec.get("batch_fraction", 0.01)),
-        shock_depth=float(spec.get("shock_depth", 0.5)),
-        recovery_order=RecoveryOrder(spec.get("recovery_order", "shock_order")),
-        replicates=int(spec.get("replicates", 20)),
-        master_seed=run_seed,
-        recompute_rankings=bool(spec.get("recompute_rankings", False)),
-    )
-
-
 def _run_one(
     run_id: str, year: int, net: TradeNetwork, config: ScenarioConfig, out_dir: Path
 ) -> dict:
@@ -274,27 +268,18 @@ def _manifest_from_flags(args: argparse.Namespace) -> dict:
     indicators = [token.strip() for token in args.indicators.split(",") if token.strip()]
     if not indicators:
         raise ValueError("no indicators given")
-    scenarios = []
-    for name in indicators:
-        scenarios.append(
-            {
-                "target_kind": args.target,
-                "indicator": name,
-                "batch_fraction": args.batch_fraction,
-                "shock_depth": args.shock_depth,
-                "recovery_order": args.recovery_order,
-                "replicates": args.replicates,
-                "recompute_rankings": args.recompute_rankings,
-            }
-        )
+    options = {
+        key: getattr(args, key) for key in _SCENARIO_FLAGS if getattr(args, key) is not None
+    }
     return {
         "input": args.input,
         "flow": args.flow,
         "years": args.years if args.years else "all",
         "output_dir": args.output_dir,
         "master_seed": args.seed,
-        "jobs": args.jobs,
-        "scenarios": scenarios,
+        "scenarios": [
+            {"target_kind": args.target, "indicator": name, **options} for name in indicators
+        ],
     }
 
 
@@ -308,9 +293,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if flow not in FLOWS:
         raise ValueError(f"flow must be one of {sorted(FLOWS)}, got {flow!r}")
     master_seed = int(manifest.get("master_seed", 0))
-    jobs = int(manifest.get("jobs", 1))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # Scenarios run one after another; "jobs" is still accepted from older manifests.
+    jobs = manifest.get("jobs", 1)
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     out_dir = Path(manifest["output_dir"])
 
     networks, _ = _load_networks(str(manifest["input"]), flow)
@@ -327,36 +313,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for number, spec in enumerate(manifest["scenarios"], start=1):
         if not isinstance(spec, dict):
             raise ValueError(f"scenario {number} must be a JSON object")
-        for key in ("target_kind", "indicator"):
-            if key not in spec:
-                raise ValueError(f"scenario {number} is missing {key!r}")
+        try:
+            scenario = ScenarioConfig.from_mapping(spec)
+        except ValueError as exc:
+            raise ValueError(f"scenario {number} {exc}") from None
         for year in years:
-            kind = TargetKind(spec["target_kind"])
-            indicator = IndicatorKind(spec["indicator"])
-            run_id = f"{year}_{kind.value}_{indicator.value}"
+            run_id = f"{year}_{scenario.target_kind.value}_{scenario.indicator.value}"
             if run_id in seen:
                 raise ValueError(f"duplicate scenario {run_id}")
             seen.add(run_id)
-            run_seed = int(
-                np.random.SeedSequence(
-                    [master_seed, zlib.crc32(run_id.encode("ascii"))]
-                ).generate_state(1)[0]
-            )
-            tasks.append((run_id, year, _scenario_config(spec, run_seed)))
+            run_seed = child_seed(master_seed, zlib.crc32(run_id.encode("ascii")))
+            tasks.append((run_id, year, replace(scenario, master_seed=run_seed)))
 
     results: list[dict] = []
     failures: list[tuple[str, str]] = []
-
-    def execute(task: tuple[str, int, ScenarioConfig]) -> dict:
-        run_id, year, config = task
-        return _run_one(run_id, year, networks[year], config, out_dir)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for task, outcome in zip(tasks, pool.map(_guarded(execute), tasks)):
-            if isinstance(outcome, Exception):
-                failures.append((task[0], str(outcome)))
-            else:
-                results.append(outcome)
+    for run_id, year, config in tasks:
+        try:
+            results.append(_run_one(run_id, year, networks[year], config, out_dir))
+        except Exception as exc:  # noqa: BLE001 - reported per scenario; the others still run
+            failures.append((run_id, str(exc)))
 
     results.sort(key=lambda row: (row["year"], row["indicator"], row["target_kind"]))
     lines = [",".join(_REPORT_HEADER)]
@@ -382,16 +357,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for run_id, message in failures:
         print(f"scenario {run_id} failed: {message}", file=sys.stderr)
     return 2 if failures else 0
-
-
-def _guarded(fn):
-    def wrapper(task):
-        try:
-            return fn(task)
-        except Exception as exc:  # noqa: BLE001 - reported per scenario
-            return exc
-
-    return wrapper
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -443,17 +408,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="out_degree",
         help="comma-separated indicator names, one scenario each",
     )
-    p_sim.add_argument("--batch-fraction", type=float, default=0.01)
-    p_sim.add_argument("--shock-depth", type=float, default=0.5)
-    p_sim.add_argument(
-        "--recovery-order",
-        choices=[o.value for o in RecoveryOrder],
-        default="shock_order",
-    )
-    p_sim.add_argument("--replicates", type=int, default=20)
-    p_sim.add_argument("--recompute-rankings", action="store_true")
+    p_sim.add_argument("--batch-fraction", type=float)  # no defaults: see _SCENARIO_FLAGS
+    p_sim.add_argument("--shock-depth", type=float)
+    p_sim.add_argument("--recovery-order", choices=[o.value for o in RecoveryOrder])
+    p_sim.add_argument("--replicates", type=int)
+    p_sim.add_argument("--recompute-rankings", action="store_true", default=None)
     p_sim.add_argument("--seed", type=int, default=0, help="master seed")
-    p_sim.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -14,7 +14,6 @@ All quantities work on the normalized-efficiency series NE(t):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .simulation import Phase, Trajectory

@@ -12,9 +12,9 @@ trajectory value equals the baseline value bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -64,18 +64,55 @@ class ScenarioConfig:
         object.__setattr__(self, "recovery_order", RecoveryOrder(self.recovery_order))
         if not 0.0 < self.batch_fraction <= self.shock_depth <= 1.0:
             raise ValueError(
-                "need 0 < batch_fraction <= shock_depth <= 1, got "
+                "needs 0 < batch_fraction <= shock_depth <= 1, got "
                 f"batch_fraction={self.batch_fraction}, shock_depth={self.shock_depth}"
             )
         if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+            raise ValueError(f"needs replicates >= 1, got {self.replicates}")
         if self.target_kind is TargetKind.edges:
             if self.indicator not in EDGE_INDICATORS:
                 raise ValueError(
-                    f"edge scenarios rank by edge_weight or random, not {self.indicator.value}"
+                    "targets edges, which rank by edge_weight or random, "
+                    f"not {self.indicator.value}"
                 )
         elif self.indicator is IndicatorKind.edge_weight:
-            raise ValueError("edge_weight does not rank nodes")
+            raise ValueError("targets nodes, which edge_weight does not rank")
+
+    @classmethod
+    def from_mapping(cls, spec: Mapping[str, object], master_seed: int = 0) -> ScenarioConfig:
+        """Build a scenario from JSON-style values, the one schema of a scenario.
+
+        The keys are the fields other than ``master_seed``, which the caller
+        supplies; a key left out takes the field's default. Unknown keys,
+        missing required keys and values of the wrong type raise
+        ``ValueError``: enums take one of their string values, floats take
+        ints too, and a bool is never taken for a number. Ranges are checked
+        on construction, as for any config. Every message is a predicate
+        ("is missing 'indicator'") that reads after the scenario's name.
+        """
+        hints = get_type_hints(cls)
+        schema = [f for f in fields(cls) if f.name != "master_seed"]
+        unknown = sorted(set(spec) - {f.name for f in schema})
+        if unknown:
+            raise ValueError(f"has unknown key {unknown[0]!r}")
+        values = {}
+        for field in schema:
+            if field.name not in spec:
+                if field.default is MISSING:
+                    raise ValueError(f"is missing {field.name!r}")
+                continue
+            value, kind = spec[field.name], hints[field.name]
+            if issubclass(kind, Enum):
+                names = [member.value for member in kind]
+                expected = "one of " + ", ".join(names)
+                valid = isinstance(value, str) and value in names
+            else:
+                expected = kind.__name__
+                valid = type(value) is kind or (kind is float and type(value) is int)
+            if not valid:
+                raise ValueError(f"has {field.name}={value!r}, expected {expected}")
+            values[field.name] = float(value) if kind is float else value
+        return cls(**values, master_seed=master_seed)
 
 
 @dataclass(frozen=True)
@@ -90,13 +127,12 @@ class TrajectoryStep:
 class Trajectory:
     """Normalized-efficiency time series with its phase anchors.
 
-    t_0/t_d/t_r/t_rs index into steps: baseline, disruption onset, end of
-    the disruptive stage (maximum applied shock), and end of recovery.
+    t_0/t_r/t_rs index into steps: baseline, end of the disruptive stage
+    (maximum applied shock), and end of recovery.
     """
 
     steps: tuple[TrajectoryStep, ...]
     t_0: int
-    t_d: int
     t_r: int
     t_rs: int
     reference_mean_weight: float
@@ -112,12 +148,9 @@ class Trajectory:
         return np.array([s.ne for s in self.steps])
 
 
-def _child_seed(master_seed: int, *keys: int) -> int:
+def child_seed(master_seed: int, *keys: int) -> int:
+    """The seed of one run, replicate or step: a pure function of its keys."""
     return int(np.random.SeedSequence([int(master_seed), *map(int, keys)]).generate_state(1)[0])
-
-
-def _normalized_ne(net: TradeNetwork, reference: float) -> float:
-    return network_efficiency(net).raw_efficiency / reference
 
 
 def _ranked_targets(net: TradeNetwork, config: ScenarioConfig, seed: int) -> tuple:
@@ -156,7 +189,15 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
     batch = math.ceil(config.batch_fraction * n_targets)
     total = math.ceil(config.shock_depth * n_targets)
 
-    steps = [TrajectoryStep(0, _normalized_ne(work, reference), Phase.baseline, ())]
+    steps: list[TrajectoryStep] = []
+
+    def record(phase: Phase, chunk: tuple) -> None:
+        # network_efficiency, not normalized_efficiency: the benchmark's tracer
+        # (bench/spans.py) counts evaluations by wrapping this module's binding.
+        ne = network_efficiency(work).raw_efficiency / reference
+        steps.append(TrajectoryStep(len(steps), ne, phase, chunk))
+
+    record(Phase.baseline, ())
     shocked: list = []
     if config.recompute_rankings:
         # Re-rank the survivors before every batch; random draws get a fresh
@@ -164,22 +205,18 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
         step_index = 0
         while len(shocked) < total:
             take = min(batch, total - len(shocked))
-            ranked = _ranked_targets(work, config, _child_seed(config.master_seed, step_index))
+            ranked = _ranked_targets(work, config, child_seed(config.master_seed, step_index))
             chunk = tuple(ranked[:take])
             _apply_shock(work, config.target_kind, chunk)
             shocked.extend(chunk)
-            steps.append(
-                TrajectoryStep(len(steps), _normalized_ne(work, reference), Phase.shock, chunk)
-            )
+            record(Phase.shock, chunk)
             step_index += 1
     else:
         ranked = _ranked_targets(work, config, config.master_seed)
         for chunk in _chunked(ranked[:total], batch):
             _apply_shock(work, config.target_kind, chunk)
             shocked.extend(chunk)
-            steps.append(
-                TrajectoryStep(len(steps), _normalized_ne(work, reference), Phase.shock, chunk)
-            )
+            record(Phase.shock, chunk)
     t_r = len(steps) - 1
 
     if config.recovery_order is RecoveryOrder.shock_order:
@@ -188,13 +225,10 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
         recovery_sequence = shocked[::-1]
     for chunk in _chunked(recovery_sequence, batch):
         work.restore(chunk)
-        steps.append(
-            TrajectoryStep(len(steps), _normalized_ne(work, reference), Phase.recovery, chunk)
-        )
+        record(Phase.recovery, chunk)
     return Trajectory(
         steps=tuple(steps),
         t_0=0,
-        t_d=0,
         t_r=t_r,
         t_rs=len(steps) - 1,
         reference_mean_weight=reference,
@@ -224,7 +258,7 @@ def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomContr
         cfg = replace(
             config,
             indicator=IndicatorKind.random,
-            master_seed=_child_seed(config.master_seed, r),
+            master_seed=child_seed(config.master_seed, r),
             replicates=1,
         )
         runs.append(run_shock_recovery(net, cfg))
@@ -239,7 +273,6 @@ def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomContr
     mean_traj = Trajectory(
         steps=steps,
         t_0=template.t_0,
-        t_d=template.t_d,
         t_r=template.t_r,
         t_rs=template.t_rs,
         reference_mean_weight=template.reference_mean_weight,

@@ -132,7 +132,6 @@ def grid_trajectory(rng: np.random.Generator, max_steps: int = 12) -> Trajectory
     return Trajectory(
         steps=tuple(steps),
         t_0=0,
-        t_d=0,
         t_r=n_shock,
         t_rs=len(steps) - 1,
         reference_mean_weight=1.0,

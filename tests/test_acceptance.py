@@ -199,7 +199,7 @@ def make_trajectory(ne0, shock, recovery):
         steps.append(TrajectoryStep(len(steps), value, Phase.shock, ()))
     for value in recovery:
         steps.append(TrajectoryStep(len(steps), value, Phase.recovery, ()))
-    return Trajectory(tuple(steps), 0, 0, len(shock), len(steps) - 1, 1.0)
+    return Trajectory(tuple(steps), 0, len(shock), len(steps) - 1, 1.0)
 
 
 def test_criterion_7_resilience_arithmetic():

@@ -302,9 +302,13 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         )
         assert main(["simulate", "--manifest", str(manifest_path)]) == 0
         outputs.append(out_dir)
-    first, second = outputs
+    assert_same_files(*outputs)
+
+
+def assert_same_files(first: Path, second: Path) -> None:
     files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
     assert files
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
     for rel in files:
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
@@ -333,6 +337,26 @@ def test_simulate_flags_without_manifest(tmp_path):
     assert len(list((out_dir / "trajectories").iterdir())) == 2
 
 
+def test_simulate_flags_and_manifest_share_scenario_defaults(tmp_path):
+    data = write_fixture(tmp_path / "trade.csv")
+    flags_out, manifest_out = tmp_path / "flags", tmp_path / "manifest"
+    argv = ["simulate", "--input", str(data), "--output-dir", str(flags_out)]
+    assert main(argv + ["--indicators", "out_degree,random", "--seed", "5"]) == 0
+    manifest = {
+        "input": str(data),
+        "output_dir": str(manifest_out),
+        "master_seed": 5,
+        "scenarios": [
+            {"target_kind": "nodes", "indicator": "out_degree"},
+            {"target_kind": "nodes", "indicator": "random"},
+        ],
+    }
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 0
+    assert_same_files(flags_out, manifest_out)
+
+
 def test_simulate_partial_failure_exits_two(tmp_path, capsys):
     data = tmp_path / "trade.csv"
     text = write_fixture(tmp_path / "base.csv").read_text()
@@ -357,12 +381,56 @@ def test_simulate_rejects_bad_manifest(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [0, "2"])
+def test_simulate_rejects_bad_jobs(tmp_path, capsys, jobs):
+    data = write_fixture(tmp_path / "trade.csv")
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(
+        json.dumps(manifest_for(data, tmp_path / "out", jobs=jobs)), encoding="utf-8"
+    )
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == f"error: jobs must be an integer >= 1, got {jobs!r}\n"
+
+
 @pytest.mark.parametrize(
     "scenario, message",
     [
         ("nodes", "scenario 1 must be a JSON object"),
         ({"indicator": "out_degree"}, "scenario 1 is missing 'target_kind'"),
         ({"target_kind": "nodes"}, "scenario 1 is missing 'indicator'"),
+        (
+            {"target_kind": "nodes", "indicator": "out_degree", "shock_deph": 0.3},
+            "scenario 1 has unknown key 'shock_deph'",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "out_degree", "recompute_rankings": "false"},
+            "scenario 1 has recompute_rankings='false', expected bool",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "random", "replicates": 2.7},
+            "scenario 1 has replicates=2.7, expected int",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "out_degree", "batch_fraction": "0.1"},
+            "scenario 1 has batch_fraction='0.1', expected float",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "random", "replicates": True},
+            "scenario 1 has replicates=True, expected int",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "out_degree", "recovery_order": 1},
+            "scenario 1 has recovery_order=1, expected one of shock_order, reverse_shock_order",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "out_degree", "master_seed": 3},
+            "scenario 1 has unknown key 'master_seed'",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "out_degree", "shock_depth": 1.5},
+            "scenario 1 needs 0 < batch_fraction <= shock_depth <= 1, got "
+            "batch_fraction=0.01, shock_depth=1.5",
+        ),
     ],
 )
 def test_simulate_malformed_scenario_exits_one(tmp_path, capsys, scenario, message):

@@ -27,7 +27,6 @@ def make_trajectory(ne0, shock, recovery):
     return Trajectory(
         steps=tuple(steps),
         t_0=0,
-        t_d=0,
         t_r=len(shock),
         t_rs=len(steps) - 1,
         reference_mean_weight=1.0,
@@ -141,7 +140,6 @@ def test_pointwise_dominance_orders_losses():
         lower = Trajectory(
             steps=tuple(lowered),
             t_0=upper.t_0,
-            t_d=upper.t_d,
             t_r=upper.t_r,
             t_rs=upper.t_rs,
             reference_mean_weight=upper.reference_mean_weight,

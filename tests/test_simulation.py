@@ -53,6 +53,15 @@ def test_indicator_target_compatibility():
     ScenarioConfig(target_kind="edges", indicator="random")
 
 
+def test_from_mapping_fills_defaults_and_takes_the_seed():
+    spec = {"target_kind": "edges", "indicator": "random", "shock_depth": 1, "replicates": 3}
+    cfg = ScenarioConfig.from_mapping(spec, master_seed=7)
+    assert cfg == ScenarioConfig(
+        target_kind="edges", indicator="random", shock_depth=1.0, replicates=3, master_seed=7
+    )
+    assert type(cfg.shock_depth) is float
+
+
 def test_config_accepts_plain_strings():
     cfg = ScenarioConfig(target_kind="nodes", indicator="pagerank")
     assert cfg.target_kind is TargetKind.nodes
@@ -74,7 +83,7 @@ def test_batch_arithmetic_on_200_nodes():
     assert all(len(s.elements) == 2 for s in shock_steps)
     assert len(recovery_steps) == 50
     assert len(traj.steps) == 101
-    assert (traj.t_0, traj.t_d, traj.t_r, traj.t_rs) == (0, 0, 50, 100)
+    assert (traj.t_0, traj.t_r, traj.t_rs) == (0, 50, 100)
 
 
 def test_shock_step_count_matches_ceiling_rule():
@@ -105,7 +114,7 @@ def test_phases_are_contiguous_and_marked(medium_net):
     assert all(p is Phase.recovery for p in phases[boundary:])
     assert traj.steps[traj.t_r].phase is Phase.shock
     assert [s.t for s in traj.steps] == list(range(len(traj.steps)))
-    assert traj.t_0 <= traj.t_d < traj.t_r <= traj.t_rs
+    assert traj.t_0 < traj.t_r <= traj.t_rs
 
 
 def test_restoration_identity_is_bit_exact(medium_net):
@@ -186,6 +195,22 @@ def test_recompute_rankings_follows_the_surviving_network():
     assert static_order == ["X", "Y", "Z"]
     assert dynamic_order == ["X", "Z", "Y"]
     assert dynamic.steps[-1].ne == dynamic.ne0
+
+
+@pytest.mark.parametrize("indicator", ["hubs", "authorities"])
+def test_hits_reranking_survives_a_network_without_edges(indicator):
+    # Shocking the whole star leaves no edge once the centre is gone; the
+    # remaining leaves must still be ranked (all scores 0, tie-break order).
+    cfg = ScenarioConfig(
+        target_kind="nodes",
+        indicator=indicator,
+        batch_fraction=0.2,
+        shock_depth=1.0,
+        recompute_rankings=True,
+    )
+    traj = run_shock_recovery(star_network(), cfg)
+    assert traj.steps[traj.t_r].ne == 0.0
+    assert traj.steps[-1].ne == traj.ne0
 
 
 # -- random control -------------------------------------------------------------
