@@ -15,7 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -93,55 +92,107 @@ def closeness(net: TradeNetwork, direction: str = "out") -> np.ndarray:
     return _pair_efficiencies(shortest_path_costs(net), np.arange(n)).sum(axis=axis) / (n - 1)
 
 
+# Largest shortest-path count betweenness keeps exact (int64 holds up to 2**63 - 1).
+_PATH_COUNT_LIMIT = 2**62
+
+
+def _settlement_order(costs: np.ndarray, sources: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per source row, the order in which a (distance, index) heap Dijkstra settles the nodes.
+
+    Normally that is the order by distance, ties by index. A tight edge can
+    join two nodes at the same distance only when ``fl(d + 1/w) == d``; in a
+    row with such an edge, a node is settled only once it is reached, so the
+    row is replayed: the next node is the nearest reached one, lowest index
+    first. Unreachable nodes come last, in any order.
+    """
+    order = np.argsort(costs, axis=1, kind="stable")
+    # fl(d + l) == d needs l <= ulp(d) / 2 <= d * 2**-53: screen edges by their tail's largest d.
+    farthest = np.where(np.isfinite(costs), costs, 0.0).max(axis=0)
+    tail, head = np.nonzero(lengths <= farthest[:, None] * 2.0**-52)
+    d_tail = costs[:, tail]
+    flat = np.isfinite(d_tail) & (d_tail + lengths[tail, head] == d_tail) & (d_tail == costs[:, head])
+    for k in np.flatnonzero(flat.any(axis=1)).tolist():
+        dist = costs[k]
+        tight = dist[:, None] + lengths == dist[None, :]  # tight[v, u]: edge v -> u is tight
+        reached = np.zeros(dist.size, dtype=bool)
+        reached[sources[k]] = True
+        waiting = np.isfinite(dist)
+        settled = []
+        for _ in range(int(waiting.sum())):
+            ready = np.flatnonzero(reached & waiting)
+            v = int(ready[np.argmin(dist[ready])])  # first minimum: the lowest index
+            settled.append(v)
+            waiting[v] = False
+            reached |= tight[v]
+        order[k] = settled + np.flatnonzero(~np.isfinite(dist)).tolist()
+    return order
+
+
 def betweenness(net: TradeNetwork) -> np.ndarray:
     """Shortest-path betweenness over 1/w lengths, directed, unnormalized.
 
     Equal-length shortest paths split the pair's contribution evenly
-    (standard dependency accumulation over the shortest-path DAG).
+    (Brandes' dependency accumulation over the shortest-path DAG). The
+    distances ``D`` come from :func:`shortest_path_costs`, one row per node
+    with an active out-edge. From source ``s``, the nodes settle by
+    distance, ties by the lowest index among the nodes already reached, and
+    ``v`` is a predecessor of ``w`` when ``v`` settled before ``w`` and the
+    edge is tight: ``D[s, v] + 1/weight(v, w) == D[s, w]``, the sum Dijkstra
+    forms. That is the order and the DAG of a binary-heap Dijkstra keyed on
+    (distance, index), and the scores equal its Brandes scores bit for bit.
+    Path counts are held exactly in int64: a network in which some pair has
+    more than 2**62 shortest paths raises ``ValueError``.
+
+    The counts and dependencies run rank by rank over all sources at once,
+    recomputing each rank's tight edges, so memory stays O(sources x N).
     """
     n = net.n_nodes
     scores = np.zeros(n)
-    weights = net.baseline_weights
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(net.active_edge_mask)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        adj[i].append((j, 1.0 / weights[i, j]))
+    mask = net.active_edge_mask
+    sources = np.flatnonzero(mask.any(axis=1))
+    if sources.size == 0:
+        return scores
+    costs = shortest_path_costs(net, sources=sources)
+    into = np.full((n, n), np.inf)  # into[w, v]: length of the edge v -> w
+    into[mask.T] = 1.0 / net.baseline_weights.T[mask.T]
+    order = _settlement_order(costs, sources, into.T)
+    rows = np.arange(sources.size)
+    n_ranks = int(np.isfinite(costs).sum(axis=1).max())
 
-    for s in range(n):
-        if not adj[s]:
-            continue
-        dist = [math.inf] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        settled = [False] * n
-        order: list[int] = []
-        dist[s] = 0.0
-        sigma[s] = 1
-        heap: list[tuple[float, int]] = [(0.0, s)]
-        while heap:
-            _, v = heappop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
-            order.append(v)
-            dv = dist[v]
-            for u, length in adj[v]:
-                nd = dv + length
-                if nd < dist[u]:
-                    dist[u] = nd
-                    sigma[u] = sigma[v]
-                    preds[u] = [v]
-                    heappush(heap, (nd, u))
-                elif nd == dist[u] and not settled[u]:
-                    sigma[u] += sigma[v]
-                    preds[u].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
+    def tight_into(r: int) -> tuple[np.ndarray, np.ndarray]:
+        w = order[:, r]
+        d_w = costs[rows, w]
+        d_w[np.isinf(d_w)] = np.nan  # no edge is tight into an unreached node
+        return w, costs + into[w] == d_w[:, None]
+
+    # A predecessor must settle before w. A tight edge from a node settling
+    # later adds nothing: the forward pass has not counted that node's paths
+    # yet, and the backward pass zeroes each node's weight once it is done.
+    sigma = np.zeros((sources.size, n), dtype=np.int64)
+    sigma[rows, sources] = 1
+    largest = 1
+    for r in range(1, n_ranks):
+        w, tight = tight_into(r)
+        paths = np.where(tight, sigma, 0)
+        count = paths.sum(axis=1)
+        if largest > _PATH_COUNT_LIMIT // n:  # n counts could pass the limit, or wrap int64
+            if max(count.max(), paths.sum(axis=1, dtype=float).max()) > _PATH_COUNT_LIMIT:
+                raise ValueError("betweenness counts shortest paths exactly only up to 2**62")
+        largest = max(largest, int(count.max()))
+        sigma[rows, w] = count
+
+    weight = sigma.astype(float)
+    del sigma
+    delta = np.zeros((sources.size, n))
+    with np.errstate(divide="ignore", invalid="ignore"):  # unreachable and padding ranks: sigma 0
+        for r in range(n_ranks - 1, 0, -1):
+            w, tight = tight_into(r)
+            coeff = (1.0 + delta[rows, w]) / weight[rows, w]
+            weight[rows, w] = 0.0
+            delta += np.where(tight, weight * coeff[:, None], 0.0)
+    delta[rows, sources] = 0.0
+    for row in delta:
+        scores += row
     return scores
 
 
@@ -210,7 +261,12 @@ def clustering(net: TradeNetwork) -> np.ndarray:
 
 
 def _louvain_sweeps(adj: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-    """One level of local moves; returns (community labels, any move made)."""
+    """One level of local moves; returns (community labels, any move made).
+
+    Each node, in a seeded random order, moves to the neighbouring community
+    of highest modularity gain, the lowest label among equal gains, when that
+    gain is strictly better than staying.
+    """
     n = adj.shape[0]
     comm = np.arange(n)
     two_m = adj.sum()
@@ -218,26 +274,24 @@ def _louvain_sweeps(adj: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarr
         return comm, False
     k = adj.sum(axis=1)
     sigma_tot = k.copy()
+    off_diagonal = adj.copy()
+    np.fill_diagonal(off_diagonal, 0.0)  # self-loops move with the node; they never decide
+    neighbours = [np.flatnonzero(row) for row in off_diagonal]
+    link = [row[nbrs] for row, nbrs in zip(off_diagonal, neighbours)]
     moved_any = False
     while True:
         moves = 0
         for i in rng.permutation(n).tolist():
             ci = int(comm[i])
-            row = adj[i]
-            link_w: dict[int, float] = {}
-            for j in np.nonzero(row)[0].tolist():
-                if j != i:  # self-loops move with the node; they never decide
-                    c = int(comm[j])
-                    link_w[c] = link_w.get(c, 0.0) + row[j]
             sigma_tot[ci] -= k[i]
             best_c = ci
-            best_gain = link_w.get(ci, 0.0) - k[i] * sigma_tot[ci] / two_m
-            for c in sorted(link_w):
-                if c == ci:
-                    continue
-                gain = link_w[c] - k[i] * sigma_tot[c] / two_m
-                if gain > best_gain:
-                    best_gain, best_c = gain, c
+            if neighbours[i].size:
+                link_w = np.bincount(comm[neighbours[i]], weights=link[i], minlength=n)
+                gains = link_w - k[i] * sigma_tot / two_m
+                # Candidates are the communities linked to i (link weights are positive).
+                best = int(np.argmax(np.where(link_w > 0, gains, -np.inf)))
+                if gains[best] > gains[ci]:
+                    best_c = best
             comm[i] = best_c
             sigma_tot[best_c] += k[i]
             if best_c != ci:

@@ -58,6 +58,7 @@ _REPORT_HEADER = (
     "NE0",
 )
 _TRAJECTORY_HEADER = ("run_id", "year", "indicator", "target_kind", "t", "phase", "NE", "NE_std")
+_MANIFEST_KEYS = ("input", "output_dir", "scenarios", "flow", "years", "master_seed", "jobs")
 # simulate flags that set the scenario key of the same name when given; a flag
 # left out is left out of the scenario, so the default is ScenarioConfig's.
 _SCENARIO_FLAGS = (
@@ -254,9 +255,15 @@ def _load_manifest(path: str) -> dict:
         manifest = json.load(handle)
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object")
+    unknown = sorted(set(manifest) - set(_MANIFEST_KEYS))
+    if unknown:
+        raise ValueError(f"manifest has unknown key {unknown[0]!r}")
     for key in ("input", "output_dir", "scenarios"):
         if key not in manifest:
             raise ValueError(f"manifest is missing {key!r}")
+    for key in ("input", "output_dir"):
+        if not isinstance(manifest[key], str):
+            raise ValueError(f"manifest has {key}={manifest[key]!r}, expected str")
     if not isinstance(manifest["scenarios"], list) or not manifest["scenarios"]:
         raise ValueError("manifest needs a non-empty scenarios list")
     return manifest
@@ -292,14 +299,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     flow = manifest.get("flow", "import")
     if flow not in FLOWS:
         raise ValueError(f"flow must be one of {sorted(FLOWS)}, got {flow!r}")
-    master_seed = int(manifest.get("master_seed", 0))
+    master_seed = manifest.get("master_seed", 0)
+    if type(master_seed) is not int or master_seed < 0:
+        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
     # Scenarios run one after another; "jobs" is still accepted from older manifests.
     jobs = manifest.get("jobs", 1)
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     out_dir = Path(manifest["output_dir"])
 
-    networks, _ = _load_networks(str(manifest["input"]), flow)
+    networks, _ = _load_networks(manifest["input"], flow)
     years_field = manifest.get("years", "all")
     if isinstance(years_field, list):
         years_text: str | None = ",".join(str(y) for y in years_field)
@@ -347,7 +356,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for row in results:
         by_year.setdefault(str(row["year"]), []).append(row)
     summary = {
-        "input": str(manifest["input"]),
+        "input": manifest["input"],
         "flow": flow,
         "master_seed": master_seed,
         "years": by_year,

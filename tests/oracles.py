@@ -6,11 +6,16 @@ Path costs are accumulated left to right along each path — the same order a
 priority-queue shortest-path relaxation produces — and with nonnegative
 lengths float path sums are monotone along a path, so the minimum over all
 simple paths is exactly the value a correct shortest-path routine returns.
+
+The last section keeps two former loop implementations of the package,
+word for word: the heap-based Brandes betweenness and the dict-based Louvain
+local-move sweep. Their vectorised replacements must equal them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -147,3 +152,97 @@ def betweenness_oracle(net: TradeNetwork) -> np.ndarray:
             for v, count in through.items():
                 scores[v] += count / total
     return scores
+
+
+# -- former implementations ------------------------------------------------
+
+
+def heap_betweenness(net: TradeNetwork) -> np.ndarray:
+    """Shortest-path betweenness over 1/w lengths, directed, unnormalized.
+
+    Equal-length shortest paths split the pair's contribution evenly
+    (standard dependency accumulation over the shortest-path DAG).
+    """
+    n = net.n_nodes
+    scores = np.zeros(n)
+    weights = net.baseline_weights
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    rows, cols = np.nonzero(net.active_edge_mask)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adj[i].append((j, 1.0 / weights[i, j]))
+
+    for s in range(n):
+        if not adj[s]:
+            continue
+        dist = [math.inf] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        settled = [False] * n
+        order: list[int] = []
+        dist[s] = 0.0
+        sigma[s] = 1
+        heap: list[tuple[float, int]] = [(0.0, s)]
+        while heap:
+            _, v = heappop(heap)
+            if settled[v]:
+                continue
+            settled[v] = True
+            order.append(v)
+            dv = dist[v]
+            for u, length in adj[v]:
+                nd = dv + length
+                if nd < dist[u]:
+                    dist[u] = nd
+                    sigma[u] = sigma[v]
+                    preds[u] = [v]
+                    heappush(heap, (nd, u))
+                elif nd == dist[u] and not settled[u]:
+                    sigma[u] += sigma[v]
+                    preds[u].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                scores[w] += delta[w]
+    return scores
+
+
+def dict_louvain_sweeps(adj: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """One level of local moves; returns (community labels, any move made)."""
+    n = adj.shape[0]
+    comm = np.arange(n)
+    two_m = adj.sum()
+    if two_m <= 0:
+        return comm, False
+    k = adj.sum(axis=1)
+    sigma_tot = k.copy()
+    moved_any = False
+    while True:
+        moves = 0
+        for i in rng.permutation(n).tolist():
+            ci = int(comm[i])
+            row = adj[i]
+            link_w: dict[int, float] = {}
+            for j in np.nonzero(row)[0].tolist():
+                if j != i:  # self-loops move with the node; they never decide
+                    c = int(comm[j])
+                    link_w[c] = link_w.get(c, 0.0) + row[j]
+            sigma_tot[ci] -= k[i]
+            best_c = ci
+            best_gain = link_w.get(ci, 0.0) - k[i] * sigma_tot[ci] / two_m
+            for c in sorted(link_w):
+                if c == ci:
+                    continue
+                gain = link_w[c] - k[i] * sigma_tot[c] / two_m
+                if gain > best_gain:
+                    best_gain, best_c = gain, c
+            comm[i] = best_c
+            sigma_tot[best_c] += k[i]
+            if best_c != ci:
+                moves += 1
+        if moves == 0:
+            break
+        moved_any = True
+    return comm, moved_any

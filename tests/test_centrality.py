@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from tradeshock import centrality
 from tradeshock import (
     IndicatorKind,
     TradeNetwork,
@@ -18,8 +21,16 @@ from tradeshock import (
     strength,
 )
 
-from netgen import codes_for, complete_uniform_network, random_network, star_network
-from oracles import betweenness_oracle, closeness_oracle
+from netgen import (
+    codes_for,
+    complete_uniform_network,
+    connected_random_network,
+    hub_network,
+    random_network,
+    star_network,
+    two_cliques_bridge,
+)
+from oracles import betweenness_oracle, closeness_oracle, dict_louvain_sweeps, heap_betweenness
 
 
 # -- degree / strength ------------------------------------------------------
@@ -113,6 +124,113 @@ def test_betweenness_matches_oracle():
     for _ in range(25):
         net = random_network(rng, int(rng.integers(2, 8)), float(rng.uniform(0.2, 0.9)))
         assert np.array_equal(betweenness(net), betweenness_oracle(net))
+
+
+def shocked_fork() -> TradeNetwork:
+    """A strongly connected 30-node net with two nodes and every 7th edge shocked."""
+    net = connected_random_network(np.random.default_rng(17), 30).fork()
+    net.shock_nodes(["E003", "E011"])
+    net.shock_edges([(e.source, e.target) for e in net.active_edges()][::7])
+    return net
+
+
+def extreme_self_loops() -> TradeNetwork:
+    """Self-loops of every weight class, one of them too short to lengthen any path."""
+    rng = np.random.default_rng(8)
+    weights = rng.choice([1e-9, 1.0, 3.0, 1e12], size=(12, 12))
+    weights[rng.random((12, 12)) < 0.5] = 0.0
+    np.fill_diagonal(weights, [1e12, 1e-9, 1.0, 3.0] * 3)
+    return TradeNetwork(codes_for(12), weights)
+
+
+def half_ulp_tie() -> TradeNetwork:
+    """E000 -> E002 has length 2**53, and 2**53 + 1 rounds back to 2**53.
+
+    So E001, reached only through E002, ties with it on distance yet must
+    settle after it.
+    """
+    weights = np.zeros((3, 3))
+    weights[0, 2] = 2.0**-53
+    weights[2, 1] = 1.0
+    return TradeNetwork(codes_for(3), weights)
+
+
+def uniform_ring(n: int = 30) -> TradeNetwork:
+    """A two-way ring of equal weights: many tied paths, and Louvain moves that tie with staying."""
+    weights = np.zeros((n, n))
+    for i in range(n):
+        weights[i, (i + 1) % n] = weights[(i + 1) % n, i] = 1.0
+    return TradeNetwork(codes_for(n), weights)
+
+
+def no_active_edge() -> TradeNetwork:
+    net = complete_uniform_network(4).fork()
+    net.shock_nodes(net.codes)
+    return net
+
+
+DIFFERENTIAL_NETS = {
+    "star": star_network,
+    "complete_uniform": lambda: complete_uniform_network(8),
+    "bridge": two_cliques_bridge,
+    "hub41": lambda: hub_network(n=41, n_hubs=5),
+    "ring100": lambda: connected_random_network(np.random.default_rng(23), 100, 0.3),
+    "shocked_fork": shocked_fork,
+    "self_loops": extreme_self_loops,
+    "half_ulp_tie": half_ulp_tie,
+    "uniform_ring": uniform_ring,
+    "no_active_edge": no_active_edge,
+}
+
+
+@pytest.mark.parametrize("make", DIFFERENTIAL_NETS.values(), ids=DIFFERENTIAL_NETS.keys())
+def test_betweenness_equals_heap_reference(make):
+    net = make()
+    assert np.array_equal(betweenness(net), heap_betweenness(net))
+
+
+def test_betweenness_equals_heap_reference_with_extreme_weights():
+    """1/w of 1e-12 vanishes beside a distance of 1e9: tight edges join nodes at one distance."""
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        weights = rng.choice([1e-9, 1.0, 3.0, 1e12, 2e12], size=(12, 12))
+        weights[rng.random((12, 12)) < 0.6] = 0.0
+        np.fill_diagonal(weights, 0.0)
+        net = TradeNetwork(codes_for(12), weights)
+        assert np.array_equal(betweenness(net), heap_betweenness(net))
+
+
+def test_betweenness_emits_no_runtime_warning():
+    net = random_network(np.random.default_rng(3), 40, 0.06)
+    assert not net.active_edge_mask.any(axis=1).all()  # sink nodes, so unreachable pairs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = betweenness(net)
+    assert np.array_equal(scores, heap_betweenness(net))
+
+
+def parallel_chain(widths: list[int]) -> TradeNetwork:
+    """Junctions joined by ``width`` parallel two-hop routes each, all of weight 1.
+
+    The last junction is reached from the first by prod(widths) shortest paths.
+    """
+    records = []
+    for k, width in enumerate(widths):
+        for m in range(width):
+            records += [(f"J{k:03d}", f"M{k:03d}_{m}", 1.0), (f"M{k:03d}_{m}", f"J{k + 1:03d}", 1.0)]
+    return build_network(records)
+
+
+def test_betweenness_counts_paths_exactly_up_to_the_limit():
+    net = parallel_chain([2] * 62)  # 2**62 shortest paths end to end
+    assert np.array_equal(betweenness(net), heap_betweenness(net))
+
+
+# 3 * 2**61 passes the limit; 2**63 wraps int64, which the int64 count alone would miss.
+@pytest.mark.parametrize("widths", [[2] * 61 + [3], [2] * 63], ids=["past_limit", "past_int64"])
+def test_betweenness_rejects_path_counts_past_the_limit(widths):
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        betweenness(parallel_chain(widths))
 
 
 # -- pagerank ----------------------------------------------------------------
@@ -270,6 +388,15 @@ def test_community_detection_deterministic_and_labelled_by_appearance():
 def test_no_edges_yields_singleton_modules():
     net = TradeNetwork(codes_for(4), np.zeros((4, 4)))
     assert detect_communities(net, seed=0).tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["ring100", "hub41", "shocked_fork", "uniform_ring"])
+def test_detect_communities_equals_dict_reference(name, monkeypatch):
+    net = DIFFERENTIAL_NETS[name]()
+    labels = [detect_communities(net, seed=seed) for seed in range(50)]
+    monkeypatch.setattr(centrality, "_louvain_sweeps", dict_louvain_sweeps)
+    for seed, got in enumerate(labels):
+        assert np.array_equal(got, detect_communities(net, seed=seed))
 
 
 # -- module indicators ------------------------------------------------------------

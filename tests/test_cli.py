@@ -381,6 +381,29 @@ def test_simulate_rejects_bad_manifest(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"master_sed": 3}, "manifest has unknown key 'master_sed'"),
+        ({"master_seed": 7.9}, "master_seed must be an integer >= 0, got 7.9"),
+        ({"master_seed": "7"}, "master_seed must be an integer >= 0, got '7'"),
+        ({"master_seed": True}, "master_seed must be an integer >= 0, got True"),
+        ({"master_seed": None}, "master_seed must be an integer >= 0, got None"),
+        ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+        ({"output_dir": None}, "manifest has output_dir=None, expected str"),
+        ({"input": ["trade.csv"]}, "manifest has input=['trade.csv'], expected str"),
+    ],
+)
+def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message):
+    data = write_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest_for(data, out_dir, **overrides)), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("jobs", [0, "2"])
 def test_simulate_rejects_bad_jobs(tmp_path, capsys, jobs):
     data = write_fixture(tmp_path / "trade.csv")
