@@ -78,6 +78,13 @@ def _fmt(x: float) -> str:
 def _parse_years(spec: str | None, available: Sequence[int]) -> list[int]:
     if spec is None or spec.strip().lower() == "all":
         return list(available)
+
+    def year(text: str, token: str) -> int:
+        text = text.strip()
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"bad year {token!r}")
+        return int(text)
+
     chosen: list[int] = []
     for token in spec.split(","):
         token = token.strip()
@@ -85,12 +92,12 @@ def _parse_years(spec: str | None, available: Sequence[int]) -> list[int]:
             continue
         if "-" in token:
             lo_text, _, hi_text = token.partition("-")
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = year(lo_text, token), year(hi_text, token)
             if hi < lo:
                 raise ValueError(f"bad year range {token!r}")
             chosen.extend(range(lo, hi + 1))
         else:
-            chosen.append(int(token))
+            chosen.append(year(token, token))
     known = set(available)
     missing = sorted(set(chosen) - known)
     if missing:
@@ -306,14 +313,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     jobs = manifest.get("jobs", 1)
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    years_field = manifest.get("years", "all")
+    if isinstance(years_field, list) and all(type(y) is int for y in years_field):
+        years_text = ",".join(map(str, years_field))
+    elif isinstance(years_field, str):
+        years_text = years_field
+    else:
+        raise ValueError(
+            f"manifest has years={years_field!r}, expected 'all', a year spec or a list of integers"
+        )
     out_dir = Path(manifest["output_dir"])
 
     networks, _ = _load_networks(manifest["input"], flow)
-    years_field = manifest.get("years", "all")
-    if isinstance(years_field, list):
-        years_text: str | None = ",".join(str(y) for y in years_field)
-    else:
-        years_text = str(years_field)
     years = _parse_years(years_text, sorted(networks))
 
     # Validate every scenario before running any, so bad arguments exit 1.

@@ -83,8 +83,9 @@ def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
     """Average pair efficiency over all ordered pairs of the full node set.
 
     The returned result is also normalized by the network's own active
-    mean edge weight (the per-year convention); callers running scenarios
-    should normalize with a frozen reference via :func:`normalized_efficiency`.
+    mean edge weight (the per-year convention). A scenario divides the raw
+    efficiency by the mean frozen at its baseline instead, as
+    :func:`normalized_efficiency` does for a caller-supplied reference.
     """
     n = net.n_nodes
     if n < 2:
@@ -164,3 +165,96 @@ class RemovalProbe:
         finally:
             net.restore([element])
         return _mean_pair_efficiency(pair_eff)
+
+
+class InsertionEngine:
+    """Exact distance matrix of a network that only gains edges.
+
+    ``costs`` must be :func:`shortest_path_costs` of ``net`` as it stands;
+    the engine owns it from then on. :meth:`restore` reactivates elements on
+    ``net`` and updates ``costs`` in place by label correction over the
+    edges that became active. Round 0 relaxes each new edge ``(u, v)`` of
+    length ``l`` from every row: ``D[i, v]`` takes ``fl(D[i, u] + l)`` when
+    that is strictly smaller. Each later round relaxes every active out-edge
+    of the entries the round before improved, until no entry improves.
+
+    The result is bit-identical to :func:`shortest_path_costs` of the grown
+    network. Let ``W[i, v]`` be the least cost of a walk from ``i`` to ``v``,
+    a walk's cost summed left to right in floating point. Because
+    ``fl(x + l)`` is monotone in ``x`` and never below ``x``, a matrix with
+    a zero diagonal that satisfies ``D[i, v] <= fl(D[i, u] + l_uv)`` for
+    every edge is at most ``W`` (induction along any walk), and a matrix of
+    walk costs is at least ``W``. scipy's Dijkstra returns walk costs
+    (those of its predecessor chains) that satisfy the edge inequalities,
+    because a node settles only after every node nearer than it; so it
+    returns ``W``, the least fixed point of ``D[v] = min_u fl(D[u] + l_uv)``.
+    The engine starts from the old ``W``, whose entries are walk costs in
+    the larger graph too, and only writes ``fl(D[i, u] + l)`` of an edge, so
+    its entries remain walk costs. Old edges satisfied their inequality
+    before the insertion; new edges are relaxed in round 0; and an entry
+    that improves has its out-edges relaxed in the next round. When no entry
+    improves every inequality holds, so the engine's matrix is ``W`` as
+    well. Strict improvement makes the process end: a least walk needs no
+    repeated node, so at most ``N`` rounds after round 0 can improve.
+
+    A round's candidates are formed in slices of about ``N * N`` entries at
+    a time, so its temporaries stay a fixed multiple of the matrix.
+    """
+
+    def __init__(self, net: TradeNetwork, costs: np.ndarray):
+        self.net = net
+        self.costs = costs
+
+    @property
+    def raw_efficiency(self) -> float:
+        """Raw efficiency of ``net``, summed exactly as :func:`network_efficiency` sums it."""
+        return _mean_pair_efficiency(_pair_efficiencies(self.costs, np.arange(self.net.n_nodes)))
+
+    def restore(self, elements) -> None:
+        """Reactivate ``elements`` on ``net`` and bring ``costs`` up to date."""
+        net = self.net
+        before = net.active_edge_mask
+        net.restore(elements)
+        self._insert(*np.nonzero(net.active_edge_mask & ~before))
+
+    def _insert(self, tails: np.ndarray, heads: np.ndarray) -> None:
+        n = self.net.n_nodes
+        flat = self.costs.reshape(-1)  # a view: writes land in costs
+        changed = np.zeros(n * n, dtype=bool)
+        lengths = 1.0 / self.net.baseline_weights[tails, heads]
+        row_starts = np.arange(n)[:, None] * n
+        for s in range(0, tails.size, n):
+            u, v = tails[s : s + n], heads[s : s + n]
+            candidates = self.costs[:, u] + lengths[s : s + n]
+            _relax(flat, (row_starts + v).ravel(), candidates.ravel(), changed)
+
+        graph = _length_graph(self.net)
+        for _ in range(n + 1):
+            frontier = np.flatnonzero(changed)
+            if frontier.size == 0:
+                return
+            changed[:] = False
+            rows, nodes = np.divmod(frontier, n)
+            starts = graph.indptr[nodes]
+            degrees = graph.indptr[nodes + 1] - starts
+            ends = np.cumsum(degrees)
+            cuts = np.searchsorted(ends, np.arange(n * n, ends[-1], n * n), side="right")
+            for a, b in zip([0, *cuts], [*cuts, frontier.size]):
+                # Entry k of the slice expands to the out-edges of nodes[k] in CSR order.
+                deg = degrees[a:b]
+                first = np.cumsum(deg) - deg
+                slots = np.repeat(starts[a:b] - first, deg) + np.arange(int(deg.sum()))
+                targets = np.repeat(rows[a:b] * n, deg) + graph.indices[slots]
+                candidates = np.repeat(flat[frontier[a:b]], deg) + graph.data[slots]
+                _relax(flat, targets, candidates, changed)
+        raise RuntimeError(f"edge insertion did not settle within {n + 1} rounds")
+
+
+def _relax(
+    flat: np.ndarray, targets: np.ndarray, candidates: np.ndarray, changed: np.ndarray
+) -> None:
+    """Lower ``flat[targets]`` to ``candidates`` where strictly smaller; flag what improved."""
+    better = candidates < flat[targets]
+    targets = targets[better]
+    np.minimum.at(flat, targets, candidates[better])
+    changed[targets] = True

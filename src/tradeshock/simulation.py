@@ -4,9 +4,20 @@ A scenario forks the network, freezes the baseline mean edge weight as the
 normalization reference, then removes targets in ranked batches down to the
 configured depth and restores them in batches of the same size. Normalized
 efficiency is recorded after every batch, so each trajectory is a staircase
-from the intact network through maximum disruption and back. Restoring
+from the intact network through maximum disruption and back.
+
+A run has two passes. The schedule pass walks the shock phase forward and
+fixes the batches, ranking each state when rankings are recomputed; it
+computes no efficiency. The evaluate pass runs one all-pairs Dijkstra at
+the deepest state and reaches every other point by restoring batches, which
+only inserts edges: the shock points by restoring the batches in reverse,
+the recovery points by restoring them in recovery order. An
+:class:`~tradeshock.efficiency.InsertionEngine` applies each insertion
+exactly, so every point equals a full recompute bit for bit. Restoring
 every shocked element reproduces the starting masks exactly, so the final
-trajectory value equals the baseline value bit for bit.
+trajectory value equals the baseline value bit for bit. The backward pass
+ends on the baseline as well; a run whose backward pass misses the baseline
+value raises instead of returning a trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .centrality import (
     rank_nodes,
     strength,
 )
-from .efficiency import RemovalProbe, network_efficiency
+from .efficiency import InsertionEngine, RemovalProbe, network_efficiency, shortest_path_costs
 from .network import TradeNetwork
 
 
@@ -171,6 +182,27 @@ def _chunked(items: Sequence, size: int) -> Iterable[tuple]:
         yield tuple(items[start : start + size])
 
 
+def _schedule(work: TradeNetwork, config: ScenarioConfig, batch: int, total: int) -> list[tuple]:
+    """Shock ``work`` batch by batch down to the scenario's depth; return the batches."""
+    chunks: list[tuple] = []
+    if config.recompute_rankings:
+        # Re-rank the survivors before every batch; random draws get a fresh
+        # stream per step so replicates stay independent across steps too.
+        shocked = 0
+        while shocked < total:
+            take = min(batch, total - shocked)
+            ranked = _ranked_targets(work, config, child_seed(config.master_seed, len(chunks)))
+            chunks.append(tuple(ranked[:take]))
+            _apply_shock(work, config.target_kind, chunks[-1])
+            shocked += take
+    else:
+        ranked = _ranked_targets(work, config, config.master_seed)
+        chunks = list(_chunked(ranked[:total], batch))
+        for chunk in chunks:
+            _apply_shock(work, config.target_kind, chunk)
+    return chunks
+
+
 def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
     """Execute one full shock-then-recovery scenario and return its trajectory."""
     work = net.fork()
@@ -189,43 +221,38 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
     batch = math.ceil(config.batch_fraction * n_targets)
     total = math.ceil(config.shock_depth * n_targets)
 
-    steps: list[TrajectoryStep] = []
+    # The baseline by a full evaluation: the check below compares against it.
+    baseline = network_efficiency(work).raw_efficiency
+    chunks = _schedule(work, config, batch, total)
 
-    def record(phase: Phase, chunk: tuple) -> None:
-        # network_efficiency, not normalized_efficiency: the benchmark's tracer
-        # (bench/spans.py) counts evaluations by wrapping this module's binding.
-        ne = network_efficiency(work).raw_efficiency / reference
-        steps.append(TrajectoryStep(len(steps), ne, phase, chunk))
+    # Every later point is the deepest state plus restored elements: one APSP
+    # there, then edge insertions only. Restoring the batches in reverse
+    # walks the shock phase backward to the baseline.
+    deepest = shortest_path_costs(work)
+    backward = InsertionEngine(work.fork(), deepest.copy())
+    shock_raw = []
+    for chunk in reversed(chunks):
+        shock_raw.append(backward.raw_efficiency)
+        backward.restore(chunk)
+    if backward.raw_efficiency != baseline:
+        raise RuntimeError(
+            f"restoring every batch gave raw efficiency {backward.raw_efficiency!r}, "
+            f"not the baseline {baseline!r}"
+        )
 
-    record(Phase.baseline, ())
-    shocked: list = []
-    if config.recompute_rankings:
-        # Re-rank the survivors before every batch; random draws get a fresh
-        # stream per step so replicates stay independent across steps too.
-        step_index = 0
-        while len(shocked) < total:
-            take = min(batch, total - len(shocked))
-            ranked = _ranked_targets(work, config, child_seed(config.master_seed, step_index))
-            chunk = tuple(ranked[:take])
-            _apply_shock(work, config.target_kind, chunk)
-            shocked.extend(chunk)
-            record(Phase.shock, chunk)
-            step_index += 1
-    else:
-        ranked = _ranked_targets(work, config, config.master_seed)
-        for chunk in _chunked(ranked[:total], batch):
-            _apply_shock(work, config.target_kind, chunk)
-            shocked.extend(chunk)
-            record(Phase.shock, chunk)
+    steps = [TrajectoryStep(0, baseline / reference, Phase.baseline, ())]
+    for chunk, raw in zip(chunks, reversed(shock_raw)):
+        steps.append(TrajectoryStep(len(steps), raw / reference, Phase.shock, chunk))
     t_r = len(steps) - 1
 
-    if config.recovery_order is RecoveryOrder.shock_order:
-        recovery_sequence: list = shocked
-    else:
-        recovery_sequence = shocked[::-1]
-    for chunk in _chunked(recovery_sequence, batch):
-        work.restore(chunk)
-        record(Phase.recovery, chunk)
+    shocked = [element for chunk in chunks for element in chunk]
+    if config.recovery_order is RecoveryOrder.reverse_shock_order:
+        shocked.reverse()
+    forward = InsertionEngine(work, deepest)
+    for chunk in _chunked(shocked, batch):
+        forward.restore(chunk)
+        ne = forward.raw_efficiency / reference
+        steps.append(TrajectoryStep(len(steps), ne, Phase.recovery, chunk))
     return Trajectory(
         steps=tuple(steps),
         t_0=0,

@@ -7,9 +7,10 @@ priority-queue shortest-path relaxation produces — and with nonnegative
 lengths float path sums are monotone along a path, so the minimum over all
 simple paths is exactly the value a correct shortest-path routine returns.
 
-The last section keeps two former loop implementations of the package,
-word for word: the heap-based Brandes betweenness and the dict-based Louvain
-local-move sweep. Their vectorised replacements must equal them bit for bit.
+The last section keeps three former implementations of the package, word
+for word: the heap-based Brandes betweenness, the dict-based Louvain
+local-move sweep, and the scenario loop that recomputed efficiency in full
+after every batch. Their replacements must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,17 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from tradeshock import TradeNetwork
+from tradeshock import (
+    Phase,
+    RecoveryOrder,
+    ScenarioConfig,
+    TargetKind,
+    TradeNetwork,
+    Trajectory,
+    TrajectoryStep,
+    network_efficiency,
+)
+from tradeshock.simulation import _apply_shock, _chunked, _ranked_targets, child_seed
 
 
 def _adjacency(net: TradeNetwork) -> list[list[tuple[int, float]]]:
@@ -246,3 +257,65 @@ def dict_louvain_sweeps(adj: np.ndarray, rng: np.random.Generator) -> tuple[np.n
             break
         moved_any = True
     return comm, moved_any
+
+
+def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
+    """One scenario with a full efficiency recompute after every batch, walking forward."""
+    work = net.fork()
+    reference = work.stats().mean_edge_weight
+    if reference <= 0:
+        raise ValueError("scenario needs a network with at least one active edge")
+    if config.target_kind is TargetKind.nodes:
+        n_targets = work.n_active_nodes
+    else:
+        n_targets = work.n_active_edges
+    if config.shock_depth * n_targets < 1:
+        raise ValueError(
+            f"shock depth {config.shock_depth} of {n_targets} targets covers "
+            "less than one element; nothing to shock"
+        )
+    batch = math.ceil(config.batch_fraction * n_targets)
+    total = math.ceil(config.shock_depth * n_targets)
+
+    steps: list[TrajectoryStep] = []
+
+    def record(phase: Phase, chunk: tuple) -> None:
+        ne = network_efficiency(work).raw_efficiency / reference
+        steps.append(TrajectoryStep(len(steps), ne, phase, chunk))
+
+    record(Phase.baseline, ())
+    shocked: list = []
+    if config.recompute_rankings:
+        # Re-rank the survivors before every batch; random draws get a fresh
+        # stream per step so replicates stay independent across steps too.
+        step_index = 0
+        while len(shocked) < total:
+            take = min(batch, total - len(shocked))
+            ranked = _ranked_targets(work, config, child_seed(config.master_seed, step_index))
+            chunk = tuple(ranked[:take])
+            _apply_shock(work, config.target_kind, chunk)
+            shocked.extend(chunk)
+            record(Phase.shock, chunk)
+            step_index += 1
+    else:
+        ranked = _ranked_targets(work, config, config.master_seed)
+        for chunk in _chunked(ranked[:total], batch):
+            _apply_shock(work, config.target_kind, chunk)
+            shocked.extend(chunk)
+            record(Phase.shock, chunk)
+    t_r = len(steps) - 1
+
+    if config.recovery_order is RecoveryOrder.shock_order:
+        recovery_sequence: list = shocked
+    else:
+        recovery_sequence = shocked[::-1]
+    for chunk in _chunked(recovery_sequence, batch):
+        work.restore(chunk)
+        record(Phase.recovery, chunk)
+    return Trajectory(
+        steps=tuple(steps),
+        t_0=0,
+        t_r=t_r,
+        t_rs=len(steps) - 1,
+        reference_mean_weight=reference,
+    )

@@ -404,6 +404,47 @@ def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "years, message",
+    [
+        (None, "manifest has years=None, expected 'all', a year spec or a list of integers"),
+        ([2001.5], "manifest has years=[2001.5], expected 'all', a year spec or a list of integers"),
+        (True, "manifest has years=True, expected 'all', a year spec or a list of integers"),
+        ([True], "manifest has years=[True], expected 'all', a year spec or a list of integers"),
+        (2001, "manifest has years=2001, expected 'all', a year spec or a list of integers"),
+        ("abc", "bad year 'abc'"),
+        ("2001-x", "bad year '2001-x'"),
+        ([1999], "no data for year(s) 1999; available: 2001, 2002"),
+    ],
+)
+def test_simulate_rejects_bad_years(tmp_path, capsys, years, message):
+    data = write_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest_for(data, out_dir, years=years)), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("years", ["abc", "2001.5", "2001-", "-2002", "2001,x"])
+def test_efficiency_rejects_bad_years(tmp_path, capsys, years):
+    data = write_fixture(tmp_path / "trade.csv")
+    assert main(["efficiency", "--input", str(data), "--years", years]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad year ") and err.count("\n") == 1, err
+
+
+def test_simulate_accepts_a_list_of_years(tmp_path):
+    data = write_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    manifest_path = tmp_path / "manifest.json"
+    manifest = manifest_for(data, out_dir, years=[STAR_YEAR])
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 0
+    assert sorted(json.loads((out_dir / "summary.json").read_text())["years"]) == ["2002"]
+
+
 @pytest.mark.parametrize("jobs", [0, "2"])
 def test_simulate_rejects_bad_jobs(tmp_path, capsys, jobs):
     data = write_fixture(tmp_path / "trade.csv")

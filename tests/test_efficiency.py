@@ -5,6 +5,7 @@ import pytest
 
 from tradeshock import efficiency
 from tradeshock import (
+    InsertionEngine,
     RemovalProbe,
     TradeNetwork,
     build_network,
@@ -220,3 +221,90 @@ def test_removal_probe_reruns_only_rows_the_removal_can_change(monkeypatch):
 def test_removal_probe_rejects_a_single_node_network():
     with pytest.raises(ValueError, match="2 nodes"):
         RemovalProbe(TradeNetwork(("A",), np.zeros((1, 1))))
+
+
+def isolated_node_network() -> TradeNetwork:
+    """A random network in which one node has no edge at all."""
+    net = random_network(np.random.default_rng(31), 12, 0.4)
+    weights = net.baseline_weights.copy()
+    weights[4, :] = weights[:, 4] = 0.0
+    return TradeNetwork(net.codes, weights)
+
+
+INSERTION_FIXTURES = {
+    "star": star_network,
+    "bridge": two_cliques_bridge,
+    "sparse60": lambda: random_network(np.random.default_rng(7), 60, 0.03),  # unreachable pairs
+    "hub41": lambda: hub_network(n=41, n_hubs=5),
+    "extreme_weights": extreme_weight_network,
+    "isolated_node": isolated_node_network,
+}
+
+
+def replay_restores(net: TradeNetwork, batches: list[list]) -> None:
+    """Restore ``batches`` through an engine, checking it against full recompute after each.
+
+    ``net`` holds every element of ``batches`` shocked; the restores end on the
+    network with all of them active again.
+    """
+    engine = InsertionEngine(net, shortest_path_costs(net))
+    for batch in batches:
+        engine.restore(batch)
+        assert np.array_equal(engine.costs, shortest_path_costs(net)), batch
+        assert engine.raw_efficiency == network_efficiency(net).raw_efficiency, batch
+
+
+@pytest.mark.parametrize("make", INSERTION_FIXTURES.values(), ids=INSERTION_FIXTURES.keys())
+def test_insertion_engine_equals_full_recompute_after_every_edge(make):
+    net = make()
+    edges = [(e.source, e.target) for e in net.active_edges()]
+    order = np.random.default_rng(3).permutation(len(edges)).tolist()
+    work = net.fork().shock_edges(edges)
+    replay_restores(work, [[edges[k]] for k in order])
+    assert np.array_equal(work.active_edge_mask, net.active_edge_mask)
+
+
+@pytest.mark.parametrize("make", INSERTION_FIXTURES.values(), ids=INSERTION_FIXTURES.keys())
+def test_insertion_engine_equals_full_recompute_after_every_node(make):
+    # Each restored node revives its edges to the nodes already back.
+    net = make()
+    order = np.random.default_rng(4).permutation(net.n_nodes).tolist()
+    work = net.fork().shock_nodes(net.codes)
+    replay_restores(work, [[net.code_of(k)] for k in order])
+
+
+@pytest.mark.parametrize("make", INSERTION_FIXTURES.values(), ids=INSERTION_FIXTURES.keys())
+def test_insertion_engine_equals_full_recompute_on_batches(make):
+    net = make()
+    edges = [(e.source, e.target) for e in net.active_edges()]
+    order = np.random.default_rng(5).permutation(len(edges)).tolist()
+    work = net.fork().shock_edges(edges)
+    replay_restores(work, [[edges[k] for k in order[s : s + 7]] for s in range(0, len(order), 7)])
+
+
+def test_insertion_engine_on_a_batch_of_edges_into_one_head():
+    # Every row gets a candidate from each new edge into the head; the least must win.
+    net = random_network(np.random.default_rng(11), 40, 0.5)
+    for head in range(0, 40, 7):
+        into_head = [
+            (net.code_of(int(i)), net.code_of(head))
+            for i in np.flatnonzero(net.active_edge_mask[:, head])
+        ]
+        work = net.fork().shock_edges(into_head)
+        replay_restores(work, [into_head])
+
+
+def test_insertion_engine_absorbs_lengths_below_half_an_ulp():
+    # fl(d + 1e-12) == d once d passes about 1e4: a long detour (1e9) in front
+    # of a chain of 1e12 weights leaves the chain's later entries equal.
+    n = 6
+    weights = np.zeros((n, n))
+    weights[0, 1] = 1e-9
+    for k in range(1, n - 1):
+        weights[k, k + 1] = 1e12
+    weights[0, n - 1] = 1e-9 / 2.0
+    net = TradeNetwork(codes_for(n), weights)
+    work = net.fork().shock_edges([("E000", "E001")])
+    replay_restores(work, [[("E000", "E001")]])
+    costs = shortest_path_costs(net)
+    assert costs[0, n - 1] == costs[0, 1]  # each 1e-12 step rounds back to about 1e9

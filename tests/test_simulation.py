@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tradeshock import efficiency, simulation
 from tradeshock import (
+    EDGE_INDICATORS,
+    NODE_INDICATORS,
     IndicatorKind,
     Phase,
     RecoveryOrder,
     ScenarioConfig,
     TargetKind,
+    TradeNetwork,
     build_network,
     network_efficiency,
     rank_by_impact,
@@ -16,8 +21,15 @@ from tradeshock import (
     run_shock_recovery,
 )
 
-from netgen import connected_random_network, hub_network, star_network, two_cliques_bridge
-from oracles import all_pairs_costs
+from netgen import (
+    codes_for,
+    connected_random_network,
+    hub_network,
+    random_network,
+    star_network,
+    two_cliques_bridge,
+)
+from oracles import all_pairs_costs, forward_shock_recovery
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +223,107 @@ def test_hits_reranking_survives_a_network_without_edges(indicator):
     traj = run_shock_recovery(star_network(), cfg)
     assert traj.steps[traj.t_r].ne == 0.0
     assert traj.steps[-1].ne == traj.ne0
+
+
+# -- exactness against the forward full recompute -----------------------------
+
+SCENARIO_INDICATORS = [("nodes", k.value) for k in sorted(NODE_INDICATORS)] + [
+    ("edges", k.value) for k in sorted(EDGE_INDICATORS)
+]
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["static", "recompute"])
+@pytest.mark.parametrize(
+    "target_kind,indicator", SCENARIO_INDICATORS, ids=[i for _, i in SCENARIO_INDICATORS]
+)
+def test_scenario_equals_forward_full_recompute(medium_net, target_kind, indicator, recompute):
+    # 13% batches of a 50% depth: the last batch is smaller than the others.
+    for order in RecoveryOrder:
+        cfg = ScenarioConfig(
+            target_kind=target_kind,
+            indicator=indicator,
+            batch_fraction=0.13,
+            recovery_order=order,
+            master_seed=4,
+            recompute_rankings=recompute,
+        )
+        assert run_shock_recovery(medium_net, cfg) == forward_shock_recovery(medium_net, cfg)
+
+
+def extreme_weight_hub() -> TradeNetwork:
+    """hub_network with weights of 1e-9 and 1e12 mixed in, so d + 1/w == d happens."""
+    net = hub_network(n=41, n_hubs=5)
+    weights = net.baseline_weights.copy()
+    rng = np.random.default_rng(6)
+    picked = (weights > 0) & (rng.random(weights.shape) < 0.3)
+    weights[picked] = rng.choice([1e-9, 1e12], size=int(picked.sum()))
+    return TradeNetwork(codes_for(41), weights)
+
+
+NETGEN_FIXTURES = {
+    "star": star_network,
+    "bridge": two_cliques_bridge,
+    "hub41": lambda: hub_network(n=41, n_hubs=5),
+    "sparse40": lambda: random_network(np.random.default_rng(7), 40, 0.05),
+    "extreme_hub41": extreme_weight_hub,
+}
+
+
+@pytest.mark.parametrize("make", NETGEN_FIXTURES.values(), ids=NETGEN_FIXTURES.keys())
+def test_fixture_scenarios_equal_forward_full_recompute(make):
+    net = make()
+    for target_kind, indicator in [("nodes", "out_strength"), ("nodes", "random"),
+                                   ("edges", "edge_weight"), ("edges", "random")]:
+        for order in RecoveryOrder:
+            cfg = ScenarioConfig(
+                target_kind=target_kind,
+                indicator=indicator,
+                batch_fraction=0.07,
+                shock_depth=0.6,
+                recovery_order=order,
+                master_seed=8,
+            )
+            assert run_shock_recovery(net, cfg) == forward_shock_recovery(net, cfg), cfg
+
+
+def test_random_control_replicates_equal_forward_full_recompute(medium_net):
+    cfg = ScenarioConfig(
+        target_kind="edges", indicator="random", batch_fraction=0.06, replicates=3, master_seed=2
+    )
+    control = run_random_control(medium_net, cfg)
+    for r, replicate in enumerate(control.replicates):
+        seed = simulation.child_seed(cfg.master_seed, r)
+        oracle = forward_shock_recovery(medium_net, replace(cfg, master_seed=seed, replicates=1))
+        assert replicate == oracle
+
+
+def test_scenario_runs_dijkstra_at_the_baseline_and_the_deepest_state_only(monkeypatch):
+    net = hub_network(n=41, n_hubs=5)
+    rows: list[int] = []
+    dijkstra = efficiency.dijkstra
+
+    def counting(graph, *args, **kwargs):
+        result = dijkstra(graph, *args, **kwargs)
+        rows.append(1 if result.ndim == 1 else result.shape[0])
+        return result
+
+    monkeypatch.setattr(efficiency, "dijkstra", counting)
+    traj = run_shock_recovery(net, ScenarioConfig(target_kind="nodes", indicator="out_degree"))
+    assert len(traj.steps) == 43
+    assert rows == [41, 41]
+
+
+def test_scenario_raises_when_the_backward_pass_misses_the_baseline(medium_net, monkeypatch):
+    full = simulation.network_efficiency
+
+    def off_by_one_ulp(net):
+        result = full(net)
+        return replace(result, raw_efficiency=np.nextafter(result.raw_efficiency, 0.0))
+
+    monkeypatch.setattr(simulation, "network_efficiency", off_by_one_ulp)
+    cfg = ScenarioConfig(target_kind="nodes", indicator="out_degree", batch_fraction=0.1)
+    with pytest.raises(RuntimeError, match="not the baseline"):
+        run_shock_recovery(medium_net, cfg)
 
 
 # -- random control -------------------------------------------------------------
