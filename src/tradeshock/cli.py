@@ -164,6 +164,8 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise ValueError(f"top_k must be >= 1, got {args.top}")
     networks, _ = _load_networks(args.input, args.flow)
     years = _parse_years(args.years, sorted(networks))
     if len(years) != 1:

@@ -33,14 +33,15 @@ class EfficiencyResult:
     raw_efficiency: float
     normalized_efficiency: float
     reference_mean_weight: float
-    pair_count: int
     degenerate: bool = False  # fewer than 2 nodes: efficiency defined as 0
 
 
 def _length_graph(net: TradeNetwork) -> csr_matrix:
-    rows, cols = np.nonzero(net.active_edge_mask)
-    lengths = 1.0 / net.baseline_weights[rows, cols]
-    return csr_matrix((lengths, (rows, cols)), shape=(net.n_nodes, net.n_nodes))
+    n = net.n_nodes
+    flat = np.flatnonzero(net.active_edge_mask)  # row-major, so already in CSR order
+    lengths = 1.0 / net.baseline_weights.reshape(-1)[flat]
+    row_starts = np.searchsorted(flat, np.arange(n + 1) * n)
+    return csr_matrix((lengths, flat % n, row_starts), shape=(n, n))
 
 
 def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
@@ -84,124 +85,56 @@ def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
 
     The returned result is also normalized by the network's own active
     mean edge weight (the per-year convention). A scenario divides the raw
-    efficiency by the mean frozen at its baseline instead, as
-    :func:`normalized_efficiency` does for a caller-supplied reference.
+    efficiency by the mean frozen at its baseline instead.
     """
     n = net.n_nodes
     if n < 2:
-        return EfficiencyResult(0.0, 0.0, 0.0, 0, degenerate=True)
+        return EfficiencyResult(0.0, 0.0, 0.0, degenerate=True)
     raw = _mean_pair_efficiency(_pair_efficiencies(shortest_path_costs(net), np.arange(n)))
     reference = net.stats().mean_edge_weight
     normalized = raw / reference if reference > 0 else 0.0
-    return EfficiencyResult(raw, normalized, reference, n * (n - 1))
+    return EfficiencyResult(raw, normalized, reference)
 
 
-def normalized_efficiency(net: TradeNetwork, reference_mean_weight: float) -> EfficiencyResult:
-    """Network efficiency normalized by a caller-supplied mean edge weight."""
-    ref = float(reference_mean_weight)
-    if not np.isfinite(ref) or ref <= 0:
-        raise ValueError(f"reference mean weight must be positive and finite, got {ref}")
-    base = network_efficiency(net)
-    return EfficiencyResult(
-        base.raw_efficiency,
-        base.raw_efficiency / ref,
-        ref,
-        base.pair_count,
-        base.degenerate,
-    )
+class DistanceEngine:
+    """Exact distance matrix of a network whose elements are removed and restored.
 
+    ``costs`` must be :func:`shortest_path_costs` of ``net`` as it stands; the
+    engine owns it from then on. :meth:`restore` and :meth:`remove` change
+    the masks of ``net`` and update ``costs`` in place, bit-identical to
+    :func:`shortest_path_costs` of the changed network.
 
-class RemovalProbe:
-    """Exact raw efficiency of a network with one element removed at a time.
+    Let ``W[i, v]`` be the least cost of a walk from ``i`` to ``v``, summed
+    left to right in floating point. As ``fl(x + l)`` is monotone in ``x``
+    and never below ``x``, a matrix with a zero diagonal that satisfies
+    ``D[i, v] <= fl(D[i, u] + l_uv)`` for every edge is at most ``W``
+    (induction along any walk), and a matrix of walk costs or ``inf`` is at
+    least ``W``. scipy's Dijkstra returns the walk costs of its predecessor
+    chains, which satisfy the edge inequalities because a node settles only
+    after every node nearer than it: it returns ``W``. Both updates start
+    from entries that are walk costs in the changed graph or ``inf``, write
+    only ``fl(D[i, u] + l)`` of active edges, and relax every edge whose
+    inequality may have broken, then the out-edges of every entry that
+    improved, until none improves (at most ``N`` rounds, since a least walk
+    repeats no node). Every inequality then holds, so the matrix is ``W``.
 
-    The baseline distance matrix ``D`` is computed once. Removing an edge
-    ``(u, v)`` of length ``l`` can change source row ``i`` only when the edge
-    is tight there: ``D[i, u]`` is finite and ``D[i, u] + l == D[i, v]`` in
-    floating point, the same sum Dijkstra forms when it relaxes the edge.
-    Every shortest route through a node leaves it by an out-edge, so
-    removing a node changes its own column plus the rows in which one of its
-    active out-edges is tight. Its own row is one of those (its shortest
-    out-edge is tight there) unless it has no out-edge, when the row is
-    already all zero. Only those rows are run again; the others are
-    bit-identical to a full recompute, and the result is summed over the
-    whole matrix exactly as :func:`network_efficiency` sums it.
-
-    Each probe shocks the element on ``net`` and restores it before
-    returning, so ``net``'s masks are unchanged afterwards. They must not be
-    changed between probes either, since ``D`` describes the masks at build.
-    """
-
-    def __init__(self, net: TradeNetwork):
-        n = net.n_nodes
-        if n < 2:
-            raise ValueError(f"a removal probe needs at least 2 nodes, got {n}")
-        self.net = net
-        self._costs = shortest_path_costs(net)
-        self._pair_eff = _pair_efficiencies(self._costs, np.arange(n))
-        self.raw_efficiency = _mean_pair_efficiency(self._pair_eff)
-
-    def without(self, element: str | tuple[str, str]) -> float:
-        """Raw efficiency of the network with ``element`` (a node code or an edge) removed."""
-        net, d = self.net, self._costs
-        is_node = isinstance(element, str)
-        if is_node:
-            u = net.index_of(element)
-            targets = np.flatnonzero(net.active_edge_mask[u])
-            net.shock_nodes([element])
-        else:
-            u = net.index_of(element[0])
-            targets = np.array([net.index_of(element[1])])
-            net.shock_edges([element])
-        try:
-            lengths = 1.0 / net.baseline_weights[u, targets]
-            tight = (d[:, u, None] + lengths == d[:, targets]).any(axis=1)
-            tight &= np.isfinite(d[:, u])  # inf + l == inf would flag rows reaching neither end
-            rows = np.flatnonzero(tight)
-            pair_eff = self._pair_eff.copy()
-            if rows.size:
-                pair_eff[rows] = _pair_efficiencies(shortest_path_costs(net, sources=rows), rows)
-            if is_node:
-                pair_eff[:, u] = 0.0
-        finally:
-            net.restore([element])
-        return _mean_pair_efficiency(pair_eff)
-
-
-class InsertionEngine:
-    """Exact distance matrix of a network that only gains edges.
-
-    ``costs`` must be :func:`shortest_path_costs` of ``net`` as it stands;
-    the engine owns it from then on. :meth:`restore` reactivates elements on
-    ``net`` and updates ``costs`` in place by label correction over the
-    edges that became active. Round 0 relaxes each new edge ``(u, v)`` of
-    length ``l`` from every row: ``D[i, v]`` takes ``fl(D[i, u] + l)`` when
-    that is strictly smaller. Each later round relaxes every active out-edge
-    of the entries the round before improved, until no entry improves.
-
-    The result is bit-identical to :func:`shortest_path_costs` of the grown
-    network. Let ``W[i, v]`` be the least cost of a walk from ``i`` to ``v``,
-    a walk's cost summed left to right in floating point. Because
-    ``fl(x + l)`` is monotone in ``x`` and never below ``x``, a matrix with
-    a zero diagonal that satisfies ``D[i, v] <= fl(D[i, u] + l_uv)`` for
-    every edge is at most ``W`` (induction along any walk), and a matrix of
-    walk costs is at least ``W``. scipy's Dijkstra returns walk costs
-    (those of its predecessor chains) that satisfy the edge inequalities,
-    because a node settles only after every node nearer than it; so it
-    returns ``W``, the least fixed point of ``D[v] = min_u fl(D[u] + l_uv)``.
-    The engine starts from the old ``W``, whose entries are walk costs in
-    the larger graph too, and only writes ``fl(D[i, u] + l)`` of an edge, so
-    its entries remain walk costs. Old edges satisfied their inequality
-    before the insertion; new edges are relaxed in round 0; and an entry
-    that improves has its out-edges relaxed in the next round. When no entry
-    improves every inequality holds, so the engine's matrix is ``W`` as
-    well. Strict improvement makes the process end: a least walk needs no
-    repeated node, so at most ``N`` rounds after round 0 can improve.
-
-    A round's candidates are formed in slices of about ``N * N`` entries at
-    a time, so its temporaries stay a fixed multiple of the matrix.
+    Restore: old entries are walk costs in the larger graph too, and old
+    edges keep their inequalities; round 0 relaxes each new edge from every
+    row. Remove, the two phases of Ramalingam & Reps (J. Algorithms 1996),
+    a node being removed as all of its edges. Phase 1 marks ``(i, v)`` for
+    each removed edge ``(u, v)`` tight in row ``i``, where
+    ``fl(D[i, u] + l) == D[i, v]`` is finite, then every entry reached from
+    a marked one by a tight active edge. An unmarked entry's Dijkstra
+    predecessor chain is all tight edges, so it avoids the removed edges and
+    the entry stays a walk cost. Phase 2 sets the marked entries to ``inf``
+    and relaxes each from its active in-edges; inequalities between unmarked
+    entries still hold. Edges are expanded in slices of about ``N * N``, so
+    temporaries stay a fixed multiple of the matrix.
     """
 
     def __init__(self, net: TradeNetwork, costs: np.ndarray):
+        if net.n_nodes < 2:
+            raise ValueError(f"a distance engine needs at least 2 nodes, got {net.n_nodes}")
         self.net = net
         self.costs = costs
 
@@ -212,42 +145,93 @@ class InsertionEngine:
 
     def restore(self, elements) -> None:
         """Reactivate ``elements`` on ``net`` and bring ``costs`` up to date."""
-        net = self.net
+        net, flat = self.net, self.costs.reshape(-1)  # a view: writes land in costs
         before = net.active_edge_mask
         net.restore(elements)
-        self._insert(*np.nonzero(net.active_edge_mask & ~before))
+        changed = np.zeros(flat.size, dtype=bool)
+        for entries, candidates in self._candidates(net.active_edge_mask & ~before):
+            _relax(flat, entries, candidates, changed)
+        self._settle(_length_graph(net), changed)
 
-    def _insert(self, tails: np.ndarray, heads: np.ndarray) -> None:
+    def remove(self, elements) -> None:
+        """Shock ``elements`` (node codes and edges, in order) on ``net``; update ``costs``."""
+        net, flat = self.net, self.costs.reshape(-1)
+        before = net.active_edge_mask
+        for element in elements:
+            if isinstance(element, str):
+                net.shock_nodes([element])
+            else:
+                net.shock_edges([element])
+        marked = np.zeros(flat.size, dtype=bool)
+        for entries, candidates in self._candidates(before & ~net.active_edge_mask):
+            marked[entries[(candidates == flat[entries]) & np.isfinite(candidates)]] = True
+        if not marked.any():
+            return
+
+        graph = _length_graph(net)
+        frontier = np.flatnonzero(marked)
+        while frontier.size:
+            grown = np.zeros_like(marked)
+            for a, b, deg, slots, targets in _edge_slices(graph, frontier):
+                tight = np.repeat(flat[frontier[a:b]], deg) + graph.data[slots] == flat[targets]
+                grown[targets[tight]] = True
+            grown &= ~marked
+            marked |= grown
+            frontier = np.flatnonzero(grown)
+
+        entries = np.flatnonzero(marked)
+        flat[entries] = np.inf
+        changed = np.zeros_like(marked)
+        into = graph.tocsc()  # column v lists the in-edges of v
+        for a, b, deg, slots, sources in _edge_slices(into, entries):
+            candidates = flat[sources] + into.data[slots]
+            _relax(flat, np.repeat(entries[a:b], deg), candidates, changed)
+        self._settle(graph, changed)
+
+    def _candidates(self, edges: np.ndarray):
+        """Per N edges ``(u, v)`` set in mask ``edges``: entries ``(i, v)``, ``fl(D[i, u] + l)``."""
         n = self.net.n_nodes
-        flat = self.costs.reshape(-1)  # a view: writes land in costs
-        changed = np.zeros(n * n, dtype=bool)
+        tails, heads = np.divmod(np.flatnonzero(edges), n)
         lengths = 1.0 / self.net.baseline_weights[tails, heads]
         row_starts = np.arange(n)[:, None] * n
         for s in range(0, tails.size, n):
             u, v = tails[s : s + n], heads[s : s + n]
-            candidates = self.costs[:, u] + lengths[s : s + n]
-            _relax(flat, (row_starts + v).ravel(), candidates.ravel(), changed)
+            yield (row_starts + v).ravel(), (self.costs[:, u] + lengths[s : s + n]).ravel()
 
-        graph = _length_graph(self.net)
+    def _settle(self, graph: csr_matrix, changed: np.ndarray) -> None:
+        """Relax the out-edges of every ``changed`` entry, round by round, until none improves."""
+        n, flat = self.net.n_nodes, self.costs.reshape(-1)
         for _ in range(n + 1):
             frontier = np.flatnonzero(changed)
             if frontier.size == 0:
                 return
             changed[:] = False
-            rows, nodes = np.divmod(frontier, n)
-            starts = graph.indptr[nodes]
-            degrees = graph.indptr[nodes + 1] - starts
-            ends = np.cumsum(degrees)
-            cuts = np.searchsorted(ends, np.arange(n * n, ends[-1], n * n), side="right")
-            for a, b in zip([0, *cuts], [*cuts, frontier.size]):
-                # Entry k of the slice expands to the out-edges of nodes[k] in CSR order.
-                deg = degrees[a:b]
-                first = np.cumsum(deg) - deg
-                slots = np.repeat(starts[a:b] - first, deg) + np.arange(int(deg.sum()))
-                targets = np.repeat(rows[a:b] * n, deg) + graph.indices[slots]
+            for a, b, deg, slots, targets in _edge_slices(graph, frontier):
                 candidates = np.repeat(flat[frontier[a:b]], deg) + graph.data[slots]
                 _relax(flat, targets, candidates, changed)
-        raise RuntimeError(f"edge insertion did not settle within {n + 1} rounds")
+        raise RuntimeError(f"label correction did not settle within {n + 1} rounds")
+
+
+def _edge_slices(graph, entries: np.ndarray):
+    """Expand flat entries ``(i, m)`` to the edges that ``graph`` stores for node ``m``.
+
+    ``graph`` is CSR (out-edges) or CSC (in-edges), and ``entries`` is not
+    empty. Yields ``(a, b, deg,
+    slots, ends)`` per slice of about ``N * N`` edges: entries ``a:b``, their
+    degrees, each edge's storage slot in entry order, and the flat entry
+    ``(i, k)`` at the edge's other end ``k``.
+    """
+    n = graph.shape[0]
+    rows, nodes = np.divmod(entries, n)
+    starts = graph.indptr[nodes]
+    degrees = graph.indptr[nodes + 1] - starts
+    ends = np.cumsum(degrees)
+    cuts = np.searchsorted(ends, np.arange(n * n, ends[-1], n * n), side="right")
+    for a, b in zip([0, *cuts], [*cuts, entries.size]):
+        deg = degrees[a:b]
+        first = np.cumsum(deg) - deg
+        slots = np.repeat(starts[a:b] - first, deg) + np.arange(int(deg.sum()))
+        yield a, b, deg, slots, np.repeat(rows[a:b] * n, deg) + graph.indices[slots]
 
 
 def _relax(

@@ -11,8 +11,8 @@ fixes the batches, ranking each state when rankings are recomputed; it
 computes no efficiency. The evaluate pass runs one all-pairs Dijkstra at
 the deepest state and reaches every other point by restoring batches, which
 only inserts edges: the shock points by restoring the batches in reverse,
-the recovery points by restoring them in recovery order. An
-:class:`~tradeshock.efficiency.InsertionEngine` applies each insertion
+the recovery points by restoring them in recovery order. A
+:class:`~tradeshock.efficiency.DistanceEngine` applies each insertion
 exactly, so every point equals a full recompute bit for bit. Restoring
 every shocked element reproduces the starting masks exactly, so the final
 trajectory value equals the baseline value bit for bit. The backward pass
@@ -36,7 +36,7 @@ from .centrality import (
     rank_nodes,
     strength,
 )
-from .efficiency import InsertionEngine, RemovalProbe, network_efficiency, shortest_path_costs
+from .efficiency import DistanceEngine, network_efficiency, shortest_path_costs
 from .network import TradeNetwork
 
 
@@ -98,8 +98,10 @@ class ScenarioConfig:
         missing required keys and values of the wrong type raise
         ``ValueError``: enums take one of their string values, floats take
         ints too, and a bool is never taken for a number. Ranges are checked
-        on construction, as for any config. Every message is a predicate
-        ("is missing 'indicator'") that reads after the scenario's name.
+        on construction, as for any config, and a ``random`` scenario, run
+        as a control over its replicates, needs at least 2. Every message is
+        a predicate ("is missing 'indicator'") that reads after the
+        scenario's name.
         """
         hints = get_type_hints(cls)
         schema = [f for f in fields(cls) if f.name != "master_seed"]
@@ -123,7 +125,10 @@ class ScenarioConfig:
             if not valid:
                 raise ValueError(f"has {field.name}={value!r}, expected {expected}")
             values[field.name] = float(value) if kind is float else value
-        return cls(**values, master_seed=master_seed)
+        config = cls(**values, master_seed=master_seed)
+        if config.indicator is IndicatorKind.random and config.replicates < 2:
+            raise ValueError(f"has replicates={config.replicates}, but a random control needs >= 2")
+        return config
 
 
 @dataclass(frozen=True)
@@ -154,9 +159,6 @@ class Trajectory:
 
     def phase_steps(self, phase: Phase) -> tuple[TrajectoryStep, ...]:
         return tuple(s for s in self.steps if s.phase is phase)
-
-    def ne_values(self) -> np.ndarray:
-        return np.array([s.ne for s in self.steps])
 
 
 def child_seed(master_seed: int, *keys: int) -> int:
@@ -229,7 +231,7 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
     # there, then edge insertions only. Restoring the batches in reverse
     # walks the shock phase backward to the baseline.
     deepest = shortest_path_costs(work)
-    backward = InsertionEngine(work.fork(), deepest.copy())
+    backward = DistanceEngine(work.fork(), deepest.copy())
     shock_raw = []
     for chunk in reversed(chunks):
         shock_raw.append(backward.raw_efficiency)
@@ -248,7 +250,7 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
     shocked = [element for chunk in chunks for element in chunk]
     if config.recovery_order is RecoveryOrder.reverse_shock_order:
         shocked.reverse()
-    forward = InsertionEngine(work, deepest)
+    forward = DistanceEngine(work, deepest)
     for chunk in _chunked(shocked, batch):
         forward.restore(chunk)
         ne = forward.raw_efficiency / reference
@@ -311,11 +313,12 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
     """Most damaging single removals, as (element, impact) pairs.
 
     An element's impact is the drop in normalized efficiency when it alone
-    is removed, with the network's mean edge weight as the reference. Every
-    active element is probed on one shared fork through a
-    :class:`RemovalProbe`, which reruns only the source rows the removal can
-    change. Ties break by total strength then code for nodes, and by
-    (source, target) for edges.
+    is removed, with the network's mean edge weight as the reference. One
+    all-pairs Dijkstra gives the intact distances; each active element is
+    then removed through a :class:`DistanceEngine`, which updates only the
+    entries the removal can change, and put back by writing the saved
+    matrix back and restoring the masks. Ties break by total strength then
+    code for nodes, and by (source, target) for edges.
     """
     kind = TargetKind(target_kind)
     if top_k < 1:
@@ -324,8 +327,16 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
     reference = work.stats().mean_edge_weight
     if reference <= 0:
         raise ValueError("impact needs a network with at least one active edge")
-    probe = RemovalProbe(work)
-    before = probe.raw_efficiency / reference
+    intact = shortest_path_costs(work)
+    engine = DistanceEngine(work, intact.copy())
+    before = engine.raw_efficiency / reference
+
+    def impact_of(element) -> float:
+        engine.remove([element])
+        after = engine.raw_efficiency / reference
+        np.copyto(engine.costs, intact)
+        work.restore([element])
+        return before - after
 
     results: list[tuple] = []
     if kind is TargetKind.nodes:
@@ -335,13 +346,12 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
             if not active[i]:
                 continue
             code = net.code_of(i)
-            impact = before - probe.without(code) / reference
-            results.append((code, impact, float(tie_strength[i])))
+            results.append((code, impact_of(code), float(tie_strength[i])))
         results.sort(key=lambda item: (-item[1], -item[2], item[0]))
         return [(code, impact) for code, impact, _ in results[:top_k]]
 
     for edge in net.active_edges():
         pair = (edge.source, edge.target)
-        results.append((pair, before - probe.without(pair) / reference))
+        results.append((pair, impact_of(pair)))
     results.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
     return results[:top_k]

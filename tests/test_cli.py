@@ -174,6 +174,16 @@ def test_rank_requires_single_year(tmp_path, capsys):
     assert "exactly one year" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top", ["-1", "0"])
+def test_rank_top_below_one_exits_one(tmp_path, capsys, top):
+    data = write_fixture(tmp_path / "trade.csv")
+    argv = ["rank", "--input", str(data), "--years", "2001", "--indicator", "out_degree"]
+    assert main(argv + ["--top", top]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: top_k must be >= 1, got {top}\n"
+    assert captured.out == ""
+
+
 def test_impact_star_center_first(tmp_path, capsys):
     data = write_fixture(tmp_path / "trade.csv")
     assert (
@@ -337,6 +347,17 @@ def test_simulate_flags_without_manifest(tmp_path):
     assert len(list((out_dir / "trajectories").iterdir())) == 2
 
 
+def test_simulate_flags_random_with_one_replicate_exits_one(tmp_path, capsys):
+    data = write_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--input", str(data), "--output-dir", str(out_dir)]
+    assert main(argv + ["--indicators", "random", "--replicates", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: scenario 1 has replicates=1, but a random control needs >= 2\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_simulate_flags_and_manifest_share_scenario_defaults(tmp_path):
     data = write_fixture(tmp_path / "trade.csv")
     flags_out, manifest_out = tmp_path / "flags", tmp_path / "manifest"
@@ -494,6 +515,10 @@ def test_simulate_rejects_bad_jobs(tmp_path, capsys, jobs):
             {"target_kind": "nodes", "indicator": "out_degree", "shock_depth": 1.5},
             "scenario 1 needs 0 < batch_fraction <= shock_depth <= 1, got "
             "batch_fraction=0.01, shock_depth=1.5",
+        ),
+        (
+            {"target_kind": "nodes", "indicator": "random", "replicates": 1},
+            "scenario 1 has replicates=1, but a random control needs >= 2",
         ),
     ],
 )

@@ -5,13 +5,12 @@ import pytest
 
 from tradeshock import efficiency
 from tradeshock import (
-    InsertionEngine,
-    RemovalProbe,
+    DistanceEngine,
     TradeNetwork,
     build_network,
     network_efficiency,
-    normalized_efficiency,
     path_efficiency,
+    rank_by_impact,
     shortest_path_costs,
 )
 
@@ -60,7 +59,6 @@ def test_two_node_single_edge_closed_form():
     result = network_efficiency(net)
     assert result.raw_efficiency == pytest.approx(4.0, abs=1e-12)
     assert result.normalized_efficiency == pytest.approx(0.5, abs=1e-12)
-    assert result.pair_count == 2
 
 
 def test_complete_uniform_digraph_normalizes_to_one():
@@ -91,7 +89,6 @@ def test_denominator_keeps_full_node_count_under_masking():
     result = network_efficiency(net)
     # only A->B survives, but the averaging set stays all N(N-1)=6 pairs
     assert result.raw_efficiency == pytest.approx(4.0 / 6.0, abs=1e-15)
-    assert result.pair_count == 6
 
 
 def test_matches_enumeration_oracle_on_random_graphs():
@@ -135,20 +132,6 @@ def test_symmetric_network_has_symmetric_pair_efficiencies():
     assert np.array_equal(costs, costs.T)
 
 
-def test_normalized_efficiency_requires_positive_reference():
-    net = build_network([("A", "B", 3.0)])
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            normalized_efficiency(net, bad)
-
-
-def test_normalized_efficiency_uses_supplied_reference():
-    net = build_network([("A", "B", 3.0)])
-    result = normalized_efficiency(net, 6.0)
-    assert result.reference_mean_weight == 6.0
-    assert result.normalized_efficiency == result.raw_efficiency / 6.0
-
-
 def test_result_fields_consistent():
     rng = np.random.default_rng(77)
     net = random_network(rng, 7, 0.6)
@@ -165,62 +148,6 @@ def extreme_weight_network() -> TradeNetwork:
     weights[rng.random((12, 12)) < 0.6] = 0.0
     np.fill_diagonal(weights, 0.0)
     return TradeNetwork(codes_for(12), weights)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        star_network,
-        two_cliques_bridge,
-        lambda: connected_random_network(np.random.default_rng(100), 20, 0.2),
-        lambda: random_network(np.random.default_rng(7), 60, 0.03),  # has unreachable pairs
-        lambda: hub_network(n=41, n_hubs=5),
-        extreme_weight_network,
-    ],
-    ids=["star", "bridge", "connected20", "sparse60", "hub41", "extreme_weights"],
-)
-def test_removal_probe_equals_full_recompute(make):
-    net = make()
-    nodes, edges = net.active_node_mask, net.active_edge_mask
-    probe = RemovalProbe(net)
-    assert probe.raw_efficiency == network_efficiency(net).raw_efficiency
-    elements = list(net.codes) + [(e.source, e.target) for e in net.active_edges()]
-    for element in elements:
-        work = net.fork()
-        if isinstance(element, str):
-            work.shock_nodes([element])
-        else:
-            work.shock_edges([element])
-        assert probe.without(element) == network_efficiency(work).raw_efficiency, element
-    assert np.array_equal(net.active_node_mask, nodes)
-    assert np.array_equal(net.active_edge_mask, edges)
-
-
-def test_removal_probe_reruns_only_rows_the_removal_can_change(monkeypatch):
-    net = two_cliques_bridge()
-    probe = RemovalProbe(net)
-    asked: list[int] = []
-    dijkstra = efficiency.dijkstra
-
-    def recording(graph, *args, indices=None, **kwargs):
-        asked.extend(np.atleast_1d(indices).tolist())
-        return dijkstra(graph, *args, indices=indices, **kwargs)
-
-    monkeypatch.setattr(efficiency, "dijkstra", recording)
-
-    def rows_for(element) -> list[str]:
-        asked.clear()
-        probe.without(element)
-        return [net.code_of(i) for i in asked]
-
-    assert rows_for(("E003", "E004")) == ["E000", "E001", "E002", "E003"]  # the bridge
-    assert rows_for(("E000", "E001")) == ["E000"]  # clique-2 rows cannot reach it
-    assert rows_for("E004") == ["E000", "E001", "E002", "E003", "E004"]
-
-
-def test_removal_probe_rejects_a_single_node_network():
-    with pytest.raises(ValueError, match="2 nodes"):
-        RemovalProbe(TradeNetwork(("A",), np.zeros((1, 1))))
 
 
 def isolated_node_network() -> TradeNetwork:
@@ -247,7 +174,7 @@ def replay_restores(net: TradeNetwork, batches: list[list]) -> None:
     ``net`` holds every element of ``batches`` shocked; the restores end on the
     network with all of them active again.
     """
-    engine = InsertionEngine(net, shortest_path_costs(net))
+    engine = DistanceEngine(net, shortest_path_costs(net))
     for batch in batches:
         engine.restore(batch)
         assert np.array_equal(engine.costs, shortest_path_costs(net)), batch
@@ -308,3 +235,91 @@ def test_insertion_engine_absorbs_lengths_below_half_an_ulp():
     replay_restores(work, [[("E000", "E001")]])
     costs = shortest_path_costs(net)
     assert costs[0, n - 1] == costs[0, 1]  # each 1e-12 step rounds back to about 1e9
+
+
+REMOVAL_FIXTURES = {
+    **INSERTION_FIXTURES,
+    "connected20": lambda: connected_random_network(np.random.default_rng(100), 20, 0.2),
+}
+
+
+def all_elements(net: TradeNetwork) -> list:
+    return list(net.codes) + [(e.source, e.target) for e in net.active_edges()]
+
+
+def assert_engine_exact(engine: DistanceEngine, label) -> None:
+    assert np.array_equal(engine.costs, shortest_path_costs(engine.net)), label
+    assert engine.raw_efficiency == network_efficiency(engine.net).raw_efficiency, label
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_remove_equals_full_recompute_after_every_element(make):
+    # Each element alone, put back as an impact probe does: the saved matrix
+    # written back, the masks restored.
+    net = make()
+    nodes, edges = net.active_node_mask, net.active_edge_mask
+    intact = shortest_path_costs(net)
+    engine = DistanceEngine(net, intact.copy())
+    for element in all_elements(net):
+        engine.remove([element])
+        assert_engine_exact(engine, element)
+        np.copyto(engine.costs, intact)
+        net.restore([element])
+    assert np.array_equal(net.active_node_mask, nodes)
+    assert np.array_equal(net.active_edge_mask, edges)
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_remove_equals_full_recompute_on_batches(make):
+    # Batches of 7 at once, each on top of the ones before, until nothing is left.
+    net = make()
+    edges = [(e.source, e.target) for e in net.active_edges()]
+    for elements, seed in ((edges, 5), (list(net.codes), 6)):
+        order = np.random.default_rng(seed).permutation(len(elements)).tolist()
+        work = net.fork()
+        engine = DistanceEngine(work, shortest_path_costs(work))
+        for s in range(0, len(order), 7):
+            batch = [elements[k] for k in order[s : s + 7]]
+            engine.remove(batch)
+            assert_engine_exact(engine, batch)
+        assert work.n_active_edges == 0
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_remove_then_restore_gives_back_the_matrix(make):
+    net = make()
+    elements = all_elements(net)
+    intact = shortest_path_costs(net)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        # Edges before nodes, so no edge is shocked through an endpoint already removed.
+        batch = sorted(
+            (elements[k] for k in rng.choice(len(elements), 7, replace=False)),
+            key=lambda element: isinstance(element, str),
+        )
+        engine = DistanceEngine(net, intact.copy())
+        engine.remove(batch)
+        engine.restore(batch)
+        assert np.array_equal(engine.costs, intact), batch
+
+
+def test_impact_runs_one_all_pairs_dijkstra(monkeypatch):
+    net = two_cliques_bridge()
+    calls: list = []
+    dijkstra = efficiency.dijkstra
+
+    def recording(graph, *args, indices=None, **kwargs):
+        calls.append(indices)
+        return dijkstra(graph, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(efficiency, "dijkstra", recording)
+    for target in ("nodes", "edges"):
+        calls.clear()
+        rank_by_impact(net, target, 3)
+        assert calls == [None], target
+
+
+def test_distance_engine_rejects_a_single_node_network():
+    net = TradeNetwork(("A",), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="2 nodes"):
+        DistanceEngine(net, shortest_path_costs(net))
