@@ -328,11 +328,8 @@ def detect_communities(net: TradeNetwork, seed: int | None = 0) -> np.ndarray:
         indicator[np.arange(level.shape[0]), compact] = 1.0
         level = indicator.T @ level @ indicator  # diagonal = intra weight, both orders
 
-    remap: dict[int, int] = {}
-    out = np.empty(n, dtype=int)
-    for i, c in enumerate(membership.tolist()):
-        out[i] = remap.setdefault(c, len(remap))
-    return out
+    _, first, labels = np.unique(membership, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[labels]  # numbered by first appearance
 
 
 class ModuleIndicators(NamedTuple):
@@ -415,29 +412,44 @@ def _node_scores(net: TradeNetwork, indicator: IndicatorKind, seed: int | None) 
     raise ValueError(f"{indicator.value} is not a node indicator")
 
 
+def _code_ranks(net: TradeNetwork) -> np.ndarray:
+    """Each node's place in Python's order of the codes (``<U`` arrays drop trailing NULs)."""
+    return np.argsort(sorted(range(net.n_nodes), key=net.codes.__getitem__))
+
+
+def node_order(net: TradeNetwork, scores: np.ndarray) -> np.ndarray:
+    """Active node indices by score descending, then total strength descending, then code."""
+    active = np.flatnonzero(net.active_node_mask)
+    tie_strength = strength(net, "out") + strength(net, "in")
+    keys = (_code_ranks(net)[active], -tie_strength[active], -scores[active])
+    return active[np.lexsort(keys)]
+
+
+def edge_order(
+    net: TradeNetwork, scores: np.ndarray, tails: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """Edge positions ``k`` by score descending, then code of ``tails[k]``, then of ``heads[k]``."""
+    ranks = _code_ranks(net)
+    return np.lexsort((ranks[heads], ranks[tails], -scores))
+
+
 def rank_nodes(
     net: TradeNetwork, indicator: IndicatorKind | str, seed: int | None = None
 ) -> InfluenceRanking:
-    """Active nodes in descending indicator order.
+    """Active nodes in descending indicator order, ties broken by :func:`node_order`.
 
-    Ties break by total (in + out) strength descending, then code. The
-    seed drives the random indicator and community detection; None means 0
-    so every ranking replays by default.
+    The seed drives the random indicator and community detection; None
+    means 0 so every ranking replays by default.
     """
     kind = IndicatorKind(indicator)
     if kind not in NODE_INDICATORS:
         raise ValueError(f"{kind.value} does not rank nodes")
     scores = _node_scores(net, kind, seed)
-    tie_strength = strength(net, "out") + strength(net, "in")
-    active = net.active_node_mask
-    order = sorted(
-        (i for i in range(net.n_nodes) if active[i]),
-        key=lambda i: (-scores[i], -tie_strength[i], net.code_of(i)),
-    )
+    order = node_order(net, scores).tolist()
     return InfluenceRanking(
         kind,
         tuple(net.code_of(i) for i in order),
-        tuple(float(scores[i]) for i in order),
+        tuple(scores[order].tolist()),
         seed,
     )
 
@@ -447,22 +459,21 @@ def rank_edges(
     indicator: IndicatorKind | str = IndicatorKind.edge_weight,
     seed: int | None = None,
 ) -> InfluenceRanking:
-    """Active edges descending by weight (ties by codes), or seeded-random."""
+    """Active edges descending by weight, or seeded-random; ties broken by :func:`edge_order`."""
     kind = IndicatorKind(indicator)
     if kind not in EDGE_INDICATORS:
         raise ValueError(f"{kind.value} does not rank edges")
-    edges = list(net.active_edges())
+    tails, heads = np.nonzero(net.active_edge_mask)
     if kind is IndicatorKind.edge_weight:
-        scores = [e.weight for e in edges]
+        scores = net.baseline_weights[tails, heads]
     else:
         rng = np.random.default_rng(0 if seed is None else seed)
-        scores = rng.random(len(edges)).tolist()
-    order = sorted(
-        range(len(edges)), key=lambda k_: (-scores[k_], edges[k_].source, edges[k_].target)
-    )
+        scores = rng.random(tails.size)
+    order = edge_order(net, scores, tails, heads)
+    codes = net.codes
     return InfluenceRanking(
         kind,
-        tuple((edges[k_].source, edges[k_].target) for k_ in order),
-        tuple(float(scores[k_]) for k_ in order),
+        tuple((codes[i], codes[j]) for i, j in zip(tails[order].tolist(), heads[order].tolist())),
+        tuple(scores[order].tolist()),
         seed,
     )

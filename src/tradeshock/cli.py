@@ -30,11 +30,12 @@ import tempfile
 import zlib
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .centrality import IndicatorKind, rank_edges, rank_nodes
 from .efficiency import network_efficiency
-from .ingest import FLOWS, ParseReport, TradeFileError, parse_trade_file, build_yearly_networks
+from .ingest import FIRST_YEAR, FLOWS, LAST_YEAR, ParseReport
+from .ingest import build_yearly_networks, parse_trade_file
 from .network import TradeNetwork
 from .resilience import summarize
 from .simulation import (
@@ -47,16 +48,7 @@ from .simulation import (
     run_shock_recovery,
 )
 
-_REPORT_HEADER = (
-    "year",
-    "indicator",
-    "target_kind",
-    "R",
-    "LONE_DS",
-    "LONE_RS",
-    "Resilience",
-    "NE0",
-)
+_REPORT_HEADER = "year,indicator,target_kind,R,LONE_DS,LONE_RS,Resilience,NE0"
 _TRAJECTORY_HEADER = ("run_id", "year", "indicator", "target_kind", "t", "phase", "NE", "NE_std")
 _MANIFEST_KEYS = ("input", "output_dir", "scenarios", "flow", "years", "master_seed", "jobs")
 # simulate flags that set the scenario key of the same name when given; a flag
@@ -95,9 +87,13 @@ def _parse_years(spec: str | None, available: Sequence[int]) -> list[int]:
             lo, hi = year(lo_text, token), year(hi_text, token)
             if hi < lo:
                 raise ValueError(f"bad year range {token!r}")
+            if lo < FIRST_YEAR or hi > LAST_YEAR:  # no record has such a year; build no range
+                raise ValueError(f"year range {token!r} leaves [{FIRST_YEAR}, {LAST_YEAR}]")
             chosen.extend(range(lo, hi + 1))
         else:
             chosen.append(year(token, token))
+    if not chosen:
+        raise ValueError(f"years {spec!r} select no year")
     known = set(available)
     missing = sorted(set(chosen) - known)
     if missing:
@@ -108,9 +104,11 @@ def _parse_years(spec: str | None, available: Sequence[int]) -> list[int]:
     return sorted(set(chosen))
 
 
-def _load_networks(path: str, flow: str) -> tuple[dict[int, TradeNetwork], ParseReport]:
+def _load_years(path: str, flow: str, spec: str | None) -> tuple[dict, list[int], ParseReport]:
+    """The yearly networks of a trade file, the years ``spec`` selects, and the parse report."""
     report = parse_trade_file(path)
-    return build_yearly_networks(report.records, flow=flow), report
+    networks = build_yearly_networks(report.records, flow=flow)
+    return networks, _parse_years(spec, sorted(networks)), report
 
 
 def _print_diagnostics(report: ParseReport, path: str) -> None:
@@ -125,10 +123,9 @@ def _print_diagnostics(report: ParseReport, path: str) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    networks, report = _load_networks(args.input, args.flow)
+    networks, years, report = _load_years(args.input, args.flow, args.years)
     if args.summary:
         _print_diagnostics(report, args.input)
-    years = _parse_years(args.years, sorted(networks))
     writer = csv.writer(sys.stdout)
     writer.writerow(("year", "n_economies", "n_relationships", "total_volume", "density"))
     for year in years:
@@ -146,8 +143,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    networks, _ = _load_networks(args.input, args.flow)
-    years = _parse_years(args.years, sorted(networks))
+    networks, years, _ = _load_years(args.input, args.flow, args.years)
     writer = csv.writer(sys.stdout)
     writer.writerow(("year", "raw_efficiency", "mean_edge_weight", "normalized_efficiency"))
     for year in years:
@@ -163,50 +159,37 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     return 0
 
 
+def _one_year(args: argparse.Namespace) -> TradeNetwork:
+    networks, years, _ = _load_years(args.input, args.flow, args.years)
+    if len(years) != 1:
+        raise ValueError(f"{args.command} works on exactly one year; pass --years")
+    return networks[years[0]]
+
+
+def _write_ranked(ranked: Iterable[tuple], edges: bool, value_name: str) -> None:
+    """One CSV row per (element, value) pair, numbered from 1."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(("rank", *(("source", "target") if edges else ("economy",)), value_name))
+    for pos, (element, value) in enumerate(ranked, start=1):
+        writer.writerow((pos, *(element if edges else (element,)), _fmt(value)))
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise ValueError(f"top_k must be >= 1, got {args.top}")
-    networks, _ = _load_networks(args.input, args.flow)
-    years = _parse_years(args.years, sorted(networks))
-    if len(years) != 1:
-        raise ValueError("rank works on exactly one year; pass --years")
-    net = networks[years[0]]
+    net = _one_year(args)
     kind = IndicatorKind(args.indicator)
-    writer = csv.writer(sys.stdout)
-    if kind is IndicatorKind.edge_weight:
-        ranking = rank_edges(net, kind, seed=args.seed)
-        writer.writerow(("rank", "source", "target", "weight"))
-        for pos, ((source, target), score) in enumerate(
-            zip(ranking.ordered_items[: args.top], ranking.scores), start=1
-        ):
-            writer.writerow((pos, source, target, _fmt(score)))
-    else:
-        ranking = rank_nodes(net, kind, seed=args.seed)
-        writer.writerow(("rank", "economy", "score"))
-        for pos, (code, score) in enumerate(
-            zip(ranking.ordered_items[: args.top], ranking.scores), start=1
-        ):
-            writer.writerow((pos, code, _fmt(score)))
+    edges = kind is IndicatorKind.edge_weight
+    ranking = (rank_edges if edges else rank_nodes)(net, kind, seed=args.seed)
+    ranked = zip(ranking.ordered_items[: args.top], ranking.scores)
+    _write_ranked(ranked, edges, "weight" if edges else "score")
     return 0
 
 
 def cmd_impact(args: argparse.Namespace) -> int:
-    networks, _ = _load_networks(args.input, args.flow)
-    years = _parse_years(args.years, sorted(networks))
-    if len(years) != 1:
-        raise ValueError("impact works on exactly one year; pass --years")
-    net = networks[years[0]]
+    net = _one_year(args)
     kind = TargetKind(args.target)
-    ranked = rank_by_impact(net, kind, args.top)
-    writer = csv.writer(sys.stdout)
-    if kind is TargetKind.nodes:
-        writer.writerow(("rank", "economy", "impact"))
-        for pos, (code, impact) in enumerate(ranked, start=1):
-            writer.writerow((pos, code, _fmt(impact)))
-    else:
-        writer.writerow(("rank", "source", "target", "impact"))
-        for pos, ((source, target), impact) in enumerate(ranked, start=1):
-            writer.writerow((pos, source, target, _fmt(impact)))
+    _write_ranked(rank_by_impact(net, kind, args.top), kind is TargetKind.edges, "impact")
     return 0
 
 
@@ -326,8 +309,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     out_dir = Path(manifest["output_dir"])
 
-    networks, _ = _load_networks(manifest["input"], flow)
-    years = _parse_years(years_text, sorted(networks))
+    networks, years, _ = _load_years(manifest["input"], flow, years_text)
 
     # Validate every scenario before running any, so bad arguments exit 1.
     tasks: list[tuple[str, int, ScenarioConfig]] = []
@@ -356,7 +338,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             failures.append((run_id, str(exc)))
 
     results.sort(key=lambda row: (row["year"], row["indicator"], row["target_kind"]))
-    lines = [",".join(_REPORT_HEADER)]
+    lines = [_REPORT_HEADER]
     for row in results:
         lines.append(
             f"{row['year']},{row['indicator']},{row['target_kind']},"
@@ -388,8 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", "-i", required=True, help="trade-flow CSV (optionally .gz)")
+    def add_io(p: argparse.ArgumentParser, required: bool = True) -> None:
+        p.add_argument(
+            "--input", "-i", required=required, help="trade-flow CSV (optionally .gz)"
+        )
         p.add_argument("--flow", choices=sorted(FLOWS), default="import")
         p.add_argument("--years", help="'all', a year, '2001,2008', or '1988-1992'")
 
@@ -420,9 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run shock-recovery scenarios")
     p_sim.add_argument("--manifest", help="JSON scenario manifest (overrides other flags)")
-    p_sim.add_argument("--input", "-i", help="trade-flow CSV (optionally .gz)")
-    p_sim.add_argument("--flow", choices=sorted(FLOWS), default="import")
-    p_sim.add_argument("--years", help="'all', a year, '2001,2008', or '1988-1992'")
+    add_io(p_sim, required=False)
     p_sim.add_argument("--output-dir", "-o")
     p_sim.add_argument("--target", choices=[k.value for k in TargetKind], default="nodes")
     p_sim.add_argument(
@@ -446,10 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TradeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # TradeFileError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -153,8 +153,11 @@ class DistanceEngine:
             _relax(flat, entries, candidates, changed)
         self._settle(_length_graph(net), changed)
 
-    def remove(self, elements) -> None:
-        """Shock ``elements`` (node codes and edges, in order) on ``net``; update ``costs``."""
+    def remove(self, elements) -> bool:
+        """Shock ``elements`` (node codes and edges, in order) on ``net``; update ``costs``.
+
+        Returns False, with ``costs`` untouched, when no entry can change.
+        """
         net, flat = self.net, self.costs.reshape(-1)
         before = net.active_edge_mask
         for element in elements:
@@ -166,7 +169,7 @@ class DistanceEngine:
         for entries, candidates in self._candidates(before & ~net.active_edge_mask):
             marked[entries[(candidates == flat[entries]) & np.isfinite(candidates)]] = True
         if not marked.any():
-            return
+            return False
 
         graph = _length_graph(net)
         frontier = np.flatnonzero(marked)
@@ -187,6 +190,7 @@ class DistanceEngine:
             candidates = flat[sources] + into.data[slots]
             _relax(flat, np.repeat(entries[a:b], deg), candidates, changed)
         self._settle(graph, changed)
+        return True
 
     def _candidates(self, edges: np.ndarray):
         """Per N edges ``(u, v)`` set in mask ``edges``: entries ``(i, v)``, ``fl(D[i, u] + l)``."""

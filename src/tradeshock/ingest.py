@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ FLOW_EXPORT = "export"
 FLOWS = (FLOW_IMPORT, FLOW_EXPORT)
 
 HEADER = ("year", "reporter", "partner", "flow", "value_usd")
+FIRST_YEAR, LAST_YEAR = 1900, 2100
 
 
 class TradeFileError(ValueError):
@@ -40,8 +42,8 @@ class TradeRecord:
     value: float
 
     def __post_init__(self):
-        if not 1900 <= self.year <= 2100:
-            raise ValueError(f"year {self.year} outside [1900, 2100]")
+        if not FIRST_YEAR <= self.year <= LAST_YEAR:
+            raise ValueError(f"year {self.year} outside [{FIRST_YEAR}, {LAST_YEAR}]")
         if self.flow not in FLOWS:
             raise ValueError(f"flow must be one of {FLOWS}, got {self.flow!r}")
         if not self.reporter or not self.partner:
@@ -71,9 +73,10 @@ def _open_source(source):
 def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
     """Parse a trade-record file or stream into validated records.
 
-    Row-level problems (bad numbers, unknown flow, bad year) land in
-    ``row_errors`` with 1-based line numbers and parsing continues. Only a
-    missing or incomplete header is fatal.
+    Row-level problems (bad numbers, unknown flow, bad year, a field the
+    ``csv`` module cannot read) land in ``row_errors`` with 1-based line
+    numbers and parsing continues at the next line. Only a missing,
+    unreadable or incomplete header is fatal.
     """
     fh, own = _open_source(source)
     report = ParseReport()
@@ -83,13 +86,22 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
             header = next(reader)
         except StopIteration:
             raise TradeFileError("empty file: header row is required") from None
+        except csv.Error as exc:
+            raise TradeFileError(f"unreadable header row: {exc}") from None
         names = [h.strip().lower() for h in header]
         missing = [col for col in HEADER if col not in names]
         if missing:
             raise TradeFileError(f"missing required columns: {', '.join(missing)}")
         col = {name: names.index(name) for name in HEADER}
 
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in itertools.count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # e.g. a field past the csv module's size limit
+                report.row_errors.append((lineno, str(exc)))
+                continue
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < len(names):

@@ -32,9 +32,11 @@ import numpy as np
 from .centrality import (
     EDGE_INDICATORS,
     IndicatorKind,
+    edge_order,
+    node_order,
     rank_edges,
     rank_nodes,
-    strength,
+    strength,  # noqa: F401 - unused here, but bench/spans.py wraps simulation.strength
 )
 from .efficiency import DistanceEngine, network_efficiency, shortest_path_costs
 from .network import TradeNetwork
@@ -294,19 +296,10 @@ def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomContr
     ne = np.array([[s.ne for s in t.steps] for t in runs])
     mean = ne.mean(axis=0)
     std = ne.std(axis=0)
-    template = runs[0]
     steps = tuple(
-        TrajectoryStep(s.t, float(mean[k]), s.phase, ())
-        for k, s in enumerate(template.steps)
+        TrajectoryStep(s.t, float(mean[k]), s.phase, ()) for k, s in enumerate(runs[0].steps)
     )
-    mean_traj = Trajectory(
-        steps=steps,
-        t_0=template.t_0,
-        t_r=template.t_r,
-        t_rs=template.t_rs,
-        reference_mean_weight=template.reference_mean_weight,
-    )
-    return RandomControl(mean_traj, tuple(float(x) for x in std), tuple(runs))
+    return RandomControl(replace(runs[0], steps=steps), tuple(std.tolist()), tuple(runs))
 
 
 def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int) -> list:
@@ -317,8 +310,9 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
     all-pairs Dijkstra gives the intact distances; each active element is
     then removed through a :class:`DistanceEngine`, which updates only the
     entries the removal can change, and put back by writing the saved
-    matrix back and restoring the masks. Ties break by total strength then
-    code for nodes, and by (source, target) for edges.
+    matrix back and restoring the masks; a removal that changes no distance
+    has impact 0.0. Ties break as in rankings: by total strength then code
+    for nodes (``node_order``), by (source, target) for edges (``edge_order``).
     """
     kind = TargetKind(target_kind)
     if top_k < 1:
@@ -332,26 +326,23 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
     before = engine.raw_efficiency / reference
 
     def impact_of(element) -> float:
-        engine.remove([element])
-        after = engine.raw_efficiency / reference
-        np.copyto(engine.costs, intact)
+        impact = 0.0  # a removal that changes no distance leaves the efficiency as it was
+        if engine.remove([element]):
+            impact = before - engine.raw_efficiency / reference
+            np.copyto(engine.costs, intact)
         work.restore([element])
-        return before - after
+        return impact
 
-    results: list[tuple] = []
+    codes = net.codes
     if kind is TargetKind.nodes:
-        tie_strength = strength(net, "out") + strength(net, "in")
-        active = net.active_node_mask
-        for i in range(net.n_nodes):
-            if not active[i]:
-                continue
-            code = net.code_of(i)
-            results.append((code, impact_of(code), float(tie_strength[i])))
-        results.sort(key=lambda item: (-item[1], -item[2], item[0]))
-        return [(code, impact) for code, impact, _ in results[:top_k]]
+        impacts = np.zeros(net.n_nodes)
+        for i in np.flatnonzero(net.active_node_mask).tolist():
+            impacts[i] = impact_of(codes[i])
+        order = node_order(net, impacts)[:top_k].tolist()
+        return [(codes[i], float(impacts[i])) for i in order]
 
-    for edge in net.active_edges():
-        pair = (edge.source, edge.target)
-        results.append((pair, impact_of(pair)))
-    results.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
-    return results[:top_k]
+    tails, heads = np.nonzero(net.active_edge_mask)
+    pairs = zip(tails.tolist(), heads.tolist())
+    impacts = np.array([impact_of((codes[i], codes[j])) for i, j in pairs])
+    order = edge_order(net, impacts, tails, heads)[:top_k].tolist()
+    return [((codes[tails[k]], codes[heads[k]]), float(impacts[k])) for k in order]

@@ -7,10 +7,13 @@ priority-queue shortest-path relaxation produces — and with nonnegative
 lengths float path sums are monotone along a path, so the minimum over all
 simple paths is exactly the value a correct shortest-path routine returns.
 
-The last section keeps three former implementations of the package, word
-for word: the heap-based Brandes betweenness, the dict-based Louvain
-local-move sweep, and the scenario loop that recomputed efficiency in full
-after every batch. Their replacements must equal them bit for bit.
+The last section keeps former implementations of the package, word for
+word: the heap-based Brandes betweenness, the dict-based Louvain local-move
+sweep, the scenario loop that recomputed efficiency in full after every
+batch, and the rankings that ordered items by a Python ``sorted`` key. Their
+replacements must equal them bit for bit. The scenario loop ranks through
+the former sorted-key orderings, so every comparison with it checks the
+schedule's order too.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from heapq import heappop, heappush
 import numpy as np
 
 from tradeshock import (
+    EDGE_INDICATORS,
+    NODE_INDICATORS,
+    DistanceEngine,
+    IndicatorKind,
+    InfluenceRanking,
     Phase,
     RecoveryOrder,
     ScenarioConfig,
@@ -29,8 +37,11 @@ from tradeshock import (
     Trajectory,
     TrajectoryStep,
     network_efficiency,
+    shortest_path_costs,
+    strength,
 )
-from tradeshock.simulation import _apply_shock, _chunked, _ranked_targets, child_seed
+from tradeshock.centrality import _node_scores
+from tradeshock.simulation import _apply_shock, _chunked, child_seed
 
 
 def _adjacency(net: TradeNetwork) -> list[list[tuple[int, float]]]:
@@ -257,6 +268,113 @@ def dict_louvain_sweeps(adj: np.ndarray, rng: np.random.Generator) -> tuple[np.n
             break
         moved_any = True
     return comm, moved_any
+
+
+def sorted_rank_nodes(
+    net: TradeNetwork, indicator: IndicatorKind | str, seed: int | None = None
+) -> InfluenceRanking:
+    """Active nodes in descending indicator order.
+
+    Ties break by total (in + out) strength descending, then code. The
+    seed drives the random indicator and community detection; None means 0
+    so every ranking replays by default.
+    """
+    kind = IndicatorKind(indicator)
+    if kind not in NODE_INDICATORS:
+        raise ValueError(f"{kind.value} does not rank nodes")
+    scores = _node_scores(net, kind, seed)
+    tie_strength = strength(net, "out") + strength(net, "in")
+    active = net.active_node_mask
+    order = sorted(
+        (i for i in range(net.n_nodes) if active[i]),
+        key=lambda i: (-scores[i], -tie_strength[i], net.code_of(i)),
+    )
+    return InfluenceRanking(
+        kind,
+        tuple(net.code_of(i) for i in order),
+        tuple(float(scores[i]) for i in order),
+        seed,
+    )
+
+
+def sorted_rank_edges(
+    net: TradeNetwork,
+    indicator: IndicatorKind | str = IndicatorKind.edge_weight,
+    seed: int | None = None,
+) -> InfluenceRanking:
+    """Active edges descending by weight (ties by codes), or seeded-random."""
+    kind = IndicatorKind(indicator)
+    if kind not in EDGE_INDICATORS:
+        raise ValueError(f"{kind.value} does not rank edges")
+    edges = list(net.active_edges())
+    if kind is IndicatorKind.edge_weight:
+        scores = [e.weight for e in edges]
+    else:
+        rng = np.random.default_rng(0 if seed is None else seed)
+        scores = rng.random(len(edges)).tolist()
+    order = sorted(
+        range(len(edges)), key=lambda k_: (-scores[k_], edges[k_].source, edges[k_].target)
+    )
+    return InfluenceRanking(
+        kind,
+        tuple((edges[k_].source, edges[k_].target) for k_ in order),
+        tuple(float(scores[k_]) for k_ in order),
+        seed,
+    )
+
+
+def sorted_rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int) -> list:
+    """Most damaging single removals, as (element, impact) pairs.
+
+    An element's impact is the drop in normalized efficiency when it alone
+    is removed, with the network's mean edge weight as the reference. One
+    all-pairs Dijkstra gives the intact distances; each active element is
+    then removed through a :class:`DistanceEngine`, which updates only the
+    entries the removal can change, and put back by writing the saved
+    matrix back and restoring the masks. Ties break by total strength then
+    code for nodes, and by (source, target) for edges.
+    """
+    kind = TargetKind(target_kind)
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    work = net.fork()
+    reference = work.stats().mean_edge_weight
+    if reference <= 0:
+        raise ValueError("impact needs a network with at least one active edge")
+    intact = shortest_path_costs(work)
+    engine = DistanceEngine(work, intact.copy())
+    before = engine.raw_efficiency / reference
+
+    def impact_of(element) -> float:
+        engine.remove([element])
+        after = engine.raw_efficiency / reference
+        np.copyto(engine.costs, intact)
+        work.restore([element])
+        return before - after
+
+    results: list[tuple] = []
+    if kind is TargetKind.nodes:
+        tie_strength = strength(net, "out") + strength(net, "in")
+        active = net.active_node_mask
+        for i in range(net.n_nodes):
+            if not active[i]:
+                continue
+            code = net.code_of(i)
+            results.append((code, impact_of(code), float(tie_strength[i])))
+        results.sort(key=lambda item: (-item[1], -item[2], item[0]))
+        return [(code, impact) for code, impact, _ in results[:top_k]]
+
+    for edge in net.active_edges():
+        pair = (edge.source, edge.target)
+        results.append((pair, impact_of(pair)))
+    results.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
+    return results[:top_k]
+
+
+def _ranked_targets(net: TradeNetwork, config: ScenarioConfig, seed: int) -> tuple:
+    if config.target_kind is TargetKind.nodes:
+        return sorted_rank_nodes(net, config.indicator, seed=seed).ordered_items
+    return sorted_rank_edges(net, config.indicator, seed=seed).ordered_items
 
 
 def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:

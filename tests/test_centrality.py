@@ -5,6 +5,8 @@ import pytest
 
 from tradeshock import centrality
 from tradeshock import (
+    EDGE_INDICATORS,
+    NODE_INDICATORS,
     IndicatorKind,
     TradeNetwork,
     betweenness,
@@ -16,6 +18,7 @@ from tradeshock import (
     hits,
     module_indicators,
     pagerank,
+    rank_by_impact,
     rank_edges,
     rank_nodes,
     strength,
@@ -30,7 +33,15 @@ from netgen import (
     star_network,
     two_cliques_bridge,
 )
-from oracles import betweenness_oracle, closeness_oracle, dict_louvain_sweeps, heap_betweenness
+from oracles import (
+    betweenness_oracle,
+    closeness_oracle,
+    dict_louvain_sweeps,
+    heap_betweenness,
+    sorted_rank_by_impact,
+    sorted_rank_edges,
+    sorted_rank_nodes,
+)
 
 
 # -- degree / strength ------------------------------------------------------
@@ -397,6 +408,8 @@ def test_detect_communities_equals_dict_reference(name, monkeypatch):
     monkeypatch.setattr(centrality, "_louvain_sweeps", dict_louvain_sweeps)
     for seed, got in enumerate(labels):
         assert np.array_equal(got, detect_communities(net, seed=seed))
+        new_labels = [c for k, c in enumerate(got.tolist()) if c not in got[:k]]
+        assert new_labels == list(range(len(new_labels)))  # numbered by first appearance
 
 
 # -- module indicators ------------------------------------------------------------
@@ -517,6 +530,66 @@ def test_rankings_are_total_orders():
         else:
             items = rank_nodes(net, kind, seed=1).ordered_items
         assert len(items) == len(set(items))
+
+
+def unsorted_tied_network() -> TradeNetwork:
+    """Codes out of order, some ending in NUL, and small integer weights full of ties."""
+    codes = ("D", "B\0", "B", "A\0\0", "C", "A", "E\0", "E")
+    rng = np.random.default_rng(11)
+    weights = rng.integers(0, 3, (8, 8)).astype(float)
+    np.fill_diagonal(weights, 0.0)
+    return TradeNetwork(codes, weights)
+
+
+def masked_network() -> TradeNetwork:
+    """A random network with two nodes and three edges shocked."""
+    net = random_network(np.random.default_rng(12), 10, 0.5)
+    net.shock_nodes([net.codes[2], net.codes[7]])
+    rows, cols = np.nonzero(net.active_edge_mask)
+    net.shock_edges([(net.codes[i], net.codes[j]) for i, j in zip(rows[:3], cols[:3])])
+    return net
+
+
+ORDERING_FIXTURES = {
+    "random": lambda: random_network(np.random.default_rng(13), 10, 0.5),
+    "unsorted_codes": unsorted_tied_network,
+    "all_ties": lambda: complete_uniform_network(6, 2.0),
+    "masked": masked_network,
+    "star": star_network,
+    "bridge": two_cliques_bridge,
+}
+
+
+@pytest.mark.filterwarnings("ignore:HITS did not converge:RuntimeWarning")
+@pytest.mark.parametrize("make", ORDERING_FIXTURES.values(), ids=ORDERING_FIXTURES.keys())
+def test_rankings_equal_the_sorted_key_orderings(make):
+    net = make()
+    for kind in IndicatorKind:
+        for seed in (0, 3):
+            if kind in EDGE_INDICATORS:
+                new, old = rank_edges(net, kind, seed=seed), sorted_rank_edges(net, kind, seed=seed)
+                assert new.ordered_items == old.ordered_items, kind
+                assert new.scores == old.scores, kind
+            if kind in NODE_INDICATORS:
+                new, old = rank_nodes(net, kind, seed=seed), sorted_rank_nodes(net, kind, seed=seed)
+                assert new.ordered_items == old.ordered_items, kind
+                assert new.scores == old.scores, kind
+
+
+@pytest.mark.parametrize("make", ORDERING_FIXTURES.values(), ids=ORDERING_FIXTURES.keys())
+def test_rank_by_impact_equals_the_sorted_key_ordering(make):
+    net = make()
+    for kind in ("nodes", "edges"):
+        everything = net.n_nodes * net.n_nodes
+        assert rank_by_impact(net, kind, everything) == sorted_rank_by_impact(net, kind, everything)
+        assert rank_by_impact(net, kind, 3) == sorted_rank_by_impact(net, kind, 3)
+
+
+def test_ties_break_by_python_code_order():
+    # Not index order (the codes are unsorted), nor numpy's <U order, which drops trailing NULs.
+    net = TradeNetwork(("B", "A\0", "A"), np.full((3, 3), 2.0) - 2.0 * np.eye(3))
+    assert rank_nodes(net, "out_degree").ordered_items == ("A", "A\0", "B")
+    assert rank_edges(net).ordered_items[:3] == (("A", "A\0"), ("A", "B"), ("A\0", "A"))
 
 
 # -- cross-cutting properties --------------------------------------------------------

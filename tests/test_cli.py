@@ -50,6 +50,22 @@ def test_ingest_summary_diagnostics_on_stderr(tmp_path, capsys):
     assert "zero" not in captured.out
 
 
+def test_ingest_summary_names_a_field_past_the_csv_limit(tmp_path, capsys):
+    data = tmp_path / "trade.csv"
+    data.write_text(
+        "year,reporter,partner,flow,value_usd\n"
+        "2001,USA,CHN,import,5\n"
+        f"2001,{'X' * 200_000},CHN,import,5\n"
+        "2001,DEU,CHN,import,7\n",
+        encoding="utf-8",
+    )
+    assert main(["ingest", "--input", str(data), "--summary"]) == 0
+    captured = capsys.readouterr()
+    assert "2 records parsed, 1 malformed rows" in captured.err
+    assert f"{data}:3: field larger than field limit" in captured.err
+    assert captured.out.splitlines()[1] == "2001,3,2,12.0,0.3333333333333333"
+
+
 def test_ingest_year_with_no_relationships(tmp_path, capsys):
     data = tmp_path / "trade.csv"
     data.write_text(
@@ -436,6 +452,9 @@ def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message
         ("abc", "bad year 'abc'"),
         ("2001-x", "bad year '2001-x'"),
         ([1999], "no data for year(s) 1999; available: 2001, 2002"),
+        ([], "years '' select no year"),
+        (",", "years ',' select no year"),
+        ("2001-99999999999", "year range '2001-99999999999' leaves [1900, 2100]"),
     ],
 )
 def test_simulate_rejects_bad_years(tmp_path, capsys, years, message):
@@ -454,6 +473,30 @@ def test_efficiency_rejects_bad_years(tmp_path, capsys, years):
     assert main(["efficiency", "--input", str(data), "--years", years]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad year ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "years, message",
+    [
+        (",", "years ',' select no year"),
+        (" , ", "years ' , ' select no year"),
+        ("2001-99999999999", "year range '2001-99999999999' leaves [1900, 2100]"),
+        ("1899-2001", "year range '1899-2001' leaves [1900, 2100]"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ingest", "efficiency", "simulate"])
+def test_year_flags_that_select_nothing_or_too_much_exit_one(
+    tmp_path, capsys, command, years, message
+):
+    data = write_fixture(tmp_path / "trade.csv")
+    args = [command, "--input", str(data), "--years", years]
+    if command == "simulate":
+        args += ["--output-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_accepts_a_list_of_years(tmp_path):

@@ -261,7 +261,8 @@ def test_remove_equals_full_recompute_after_every_element(make):
     intact = shortest_path_costs(net)
     engine = DistanceEngine(net, intact.copy())
     for element in all_elements(net):
-        engine.remove([element])
+        if not engine.remove([element]):
+            assert np.array_equal(engine.costs, intact), element
         assert_engine_exact(engine, element)
         np.copyto(engine.costs, intact)
         net.restore([element])
@@ -301,6 +302,18 @@ def test_remove_then_restore_gives_back_the_matrix(make):
         engine.remove(batch)
         engine.restore(batch)
         assert np.array_equal(engine.costs, intact), batch
+
+
+def test_remove_of_an_edge_tight_in_no_row_changes_nothing():
+    # A -> B has length 1, the detour A -> C -> B only 0.2: no shortest path uses A -> B.
+    net = build_network([("A", "B", 1.0), ("A", "C", 10.0), ("C", "B", 10.0)])
+    intact = shortest_path_costs(net)
+    engine = DistanceEngine(net.fork(), intact.copy())
+    assert engine.remove([("A", "B")]) is False
+    assert np.array_equal(engine.costs, intact)
+    assert_engine_exact(engine, ("A", "B"))
+    assert DistanceEngine(net.fork(), intact.copy()).remove([("A", "C")]) is True
+    assert dict(rank_by_impact(net, "edges", 3))[("A", "B")] == 0.0
 
 
 def test_impact_runs_one_all_pairs_dijkstra(monkeypatch):

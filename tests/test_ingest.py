@@ -69,6 +69,30 @@ def test_row_errors_carry_line_numbers():
     assert len(report.records) == 2
 
 
+LONG_FIELD = "X" * 200_000  # past the csv module's 131,072-character field limit
+
+
+def test_field_past_the_csv_limit_is_a_row_error():
+    text = (
+        "year,reporter,partner,flow,value_usd\n"
+        "2001,USA,CHN,import,5\n"
+        f"2001,{LONG_FIELD},CHN,import,5\n"
+        "2002,DEU,CHN,import,7\n"
+    )
+    report = parse_trade_file(io.StringIO(text))
+    assert [lineno for lineno, _ in report.row_errors] == [3]
+    assert "field limit" in report.row_errors[0][1]
+    assert report.records == [
+        TradeRecord(2001, "USA", "CHN", "import", 5.0),
+        TradeRecord(2002, "DEU", "CHN", "import", 7.0),
+    ]
+
+
+def test_field_past_the_csv_limit_in_the_header_is_fatal():
+    with pytest.raises(TradeFileError, match="header"):
+        parse_trade_file(io.StringIO(f"year,{LONG_FIELD},partner,flow,value_usd\n"))
+
+
 def test_zero_value_rows_dropped_and_counted():
     text = (
         "year,reporter,partner,flow,value_usd\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +285,45 @@ def test_fixture_scenarios_equal_forward_full_recompute(make):
                 master_seed=8,
             )
             assert run_shock_recovery(net, cfg) == forward_shock_recovery(net, cfg), cfg
+
+
+def sweep_network(rng: np.random.Generator) -> TradeNetwork:
+    """A small random network: sparse enough for unreachable pairs, weights of every scale."""
+    n = int(rng.integers(3, 10))
+    weights = np.zeros((n, n))
+    mask = rng.random((n, n)) < rng.uniform(0.15, 0.6)
+    np.fill_diagonal(mask, False)
+    mask[0, 1] = True  # at least one edge, so the baseline mean weight is positive
+    draws = rng.choice([1e-9, 1e12, 1.0, 2.0], size=(n, n))  # exact ties too
+    weights[mask] = np.where(rng.random((n, n)) < 0.5, draws, rng.uniform(0.1, 10.0, (n, n)))[mask]
+    return TradeNetwork(codes_for(n), weights)
+
+
+SWEEP_SEED, SWEEP_DRAWS = 20261018, 145
+# Every node indicator once and each edge indicator seven times per cycle of 29 draws.
+SWEEP_SCENARIOS = SCENARIO_INDICATORS + [("edges", k.value) for k in sorted(EDGE_INDICATORS)] * 6
+
+
+def test_seeded_sweep_equals_forward_full_recompute():
+    rng = np.random.default_rng(SWEEP_SEED)
+    for draw in range(SWEEP_DRAWS):
+        net = sweep_network(rng)
+        target_kind, indicator = SWEEP_SCENARIOS[draw % len(SWEEP_SCENARIOS)]
+        n_targets = net.n_nodes if target_kind == "nodes" else net.n_active_edges
+        depth = float(rng.uniform(1.0 / n_targets, 1.0))
+        cfg = ScenarioConfig(
+            target_kind=target_kind,
+            indicator=indicator,
+            batch_fraction=float(rng.uniform(0.01, depth)),
+            shock_depth=depth,
+            recovery_order=list(RecoveryOrder)[int(rng.integers(2))],
+            replicates=1,
+            master_seed=draw,
+            recompute_rankings=bool(rng.random() < 0.5),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # PageRank and HITS may stop early
+            assert run_shock_recovery(net, cfg) == forward_shock_recovery(net, cfg), (draw, cfg)
 
 
 def test_random_control_replicates_equal_forward_full_recompute(medium_net):
