@@ -43,6 +43,7 @@ from .simulation import (
     ScenarioConfig,
     TargetKind,
     child_seed,
+    plan_scenario,
     rank_by_impact,
     run_random_control,
     run_shock_recovery,
@@ -104,13 +105,6 @@ def _parse_years(spec: str | None, available: Sequence[int]) -> list[int]:
     return sorted(set(chosen))
 
 
-def _load_years(path: str, flow: str, spec: str | None) -> tuple[dict, list[int], ParseReport]:
-    """The yearly networks of a trade file, the years ``spec`` selects, and the parse report."""
-    report = parse_trade_file(path)
-    networks = build_yearly_networks(report.records, flow=flow)
-    return networks, _parse_years(spec, sorted(networks)), report
-
-
 def _print_diagnostics(report: ParseReport, path: str) -> None:
     print(
         f"{path}: {len(report.records)} records parsed, "
@@ -122,10 +116,24 @@ def _print_diagnostics(report: ParseReport, path: str) -> None:
         print(f"{path}:{lineno}: {message}", file=sys.stderr)
 
 
+def _load_years(
+    path: str, flow: str, spec: str | None, diagnostics: bool = False
+) -> tuple[dict, list[int]]:
+    """The yearly networks of a trade file and the years ``spec`` selects.
+
+    ``diagnostics`` prints the parse report first: it explains a file with no record left.
+    """
+    report = parse_trade_file(path)
+    if diagnostics:
+        _print_diagnostics(report, path)
+    networks = build_yearly_networks(report.records, flow=flow)
+    if not networks:
+        raise ValueError(f"{path} has no {flow} records")
+    return networks, _parse_years(spec, sorted(networks))
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    networks, years, report = _load_years(args.input, args.flow, args.years)
-    if args.summary:
-        _print_diagnostics(report, args.input)
+    networks, years = _load_years(args.input, args.flow, args.years, args.summary)
     writer = csv.writer(sys.stdout)
     writer.writerow(("year", "n_economies", "n_relationships", "total_volume", "density"))
     for year in years:
@@ -143,7 +151,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    networks, years, _ = _load_years(args.input, args.flow, args.years)
+    networks, years = _load_years(args.input, args.flow, args.years)
     writer = csv.writer(sys.stdout)
     writer.writerow(("year", "raw_efficiency", "mean_edge_weight", "normalized_efficiency"))
     for year in years:
@@ -160,7 +168,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def _one_year(args: argparse.Namespace) -> TradeNetwork:
-    networks, years, _ = _load_years(args.input, args.flow, args.years)
+    networks, years = _load_years(args.input, args.flow, args.years)
     if len(years) != 1:
         raise ValueError(f"{args.command} works on exactly one year; pass --years")
     return networks[years[0]]
@@ -220,11 +228,11 @@ def _run_one(
         spread = None
 
     rows = [",".join(_TRAJECTORY_HEADER)]
-    for k, step in enumerate(trajectory.steps):
-        std_text = _fmt(spread[k]) if spread is not None else ""
+    for t, ne in enumerate(trajectory.ne):
+        std_text = _fmt(spread[t]) if spread is not None else ""
         rows.append(
             f"{run_id},{year},{config.indicator.value},{config.target_kind.value},"
-            f"{step.t},{step.phase.value},{_fmt(step.ne)},{std_text}"
+            f"{t},{trajectory.phase(t).value},{_fmt(ne)},{std_text}"
         )
     _write_atomic(out_dir / "trajectories" / f"{run_id}.csv", "\n".join(rows) + "\n")
 
@@ -309,9 +317,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     out_dir = Path(manifest["output_dir"])
 
-    networks, years, _ = _load_years(manifest["input"], flow, years_text)
+    networks, years = _load_years(manifest["input"], flow, years_text)
 
-    # Validate every scenario before running any, so bad arguments exit 1.
+    # Validate every scenario on every year before running any, so bad input exits 1.
     tasks: list[tuple[str, int, ScenarioConfig]] = []
     seen: set[str] = set()
     for number, spec in enumerate(manifest["scenarios"], start=1):
@@ -322,6 +330,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ValueError(f"scenario {number} {exc}") from None
         for year in years:
+            try:
+                plan_scenario(networks[year], scenario)
+            except ValueError as exc:
+                raise ValueError(f"scenario {number} cannot run on {year}: {exc}") from None
             run_id = f"{year}_{scenario.target_kind.value}_{scenario.indicator.value}"
             if run_id in seen:
                 raise ValueError(f"duplicate scenario {run_id}")

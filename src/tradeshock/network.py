@@ -49,9 +49,10 @@ class NetworkStats:
 class TradeNetwork:
     """Directed trade graph for one year, with shock/restore mask semantics.
 
-    Nodes are economy codes (e.g. ``"USA"``) mapped to dense indices in
-    lexicographic code order, which makes every derived quantity
-    independent of record order. Mutating operations (:meth:`shock_nodes`,
+    Nodes are economy codes (e.g. ``"USA"``) mapped to dense indices in the
+    order the constructor is given them; :func:`build_network` gives them in
+    sorted code order, which makes every derived quantity independent of
+    record order. Mutating operations (:meth:`shock_nodes`,
     :meth:`shock_edges`, :meth:`restore`) modify this instance's masks in
     place and return ``self``; use :meth:`fork` to give each scenario a
     private mask copy over the shared read-only baseline.

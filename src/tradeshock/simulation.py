@@ -4,7 +4,10 @@ A scenario forks the network, freezes the baseline mean edge weight as the
 normalization reference, then removes targets in ranked batches down to the
 configured depth and restores them in batches of the same size. Normalized
 efficiency is recorded after every batch, so each trajectory is a staircase
-from the intact network through maximum disruption and back.
+from the intact network through maximum disruption and back, kept by
+position: ``ne[0]`` is the baseline, ``ne[1:t_r + 1]`` the shock phase down
+to the maximum shock at ``t_r``, and ``ne[t_r + 1:]`` the recovery phase;
+``batches[t - 1]`` holds the elements shocked or restored at step ``t``.
 
 A run has two passes. The schedule pass walks the shock phase forward and
 fixes the batches, ranking each state when rankings are recomputed; it
@@ -134,33 +137,31 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryStep:
-    t: int
-    ne: float
-    phase: Phase
-    elements: tuple
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Normalized-efficiency time series with its phase anchors.
+    """Normalized-efficiency series NE(t), one value per step t, by position.
 
-    t_0/t_r/t_rs index into steps: baseline, end of the disruptive stage
-    (maximum applied shock), and end of recovery.
+    ``ne[0]`` is the baseline, ``ne[1:t_r + 1]`` the shock phase and
+    ``ne[t_r + 1:]`` the recovery phase. ``batches[t - 1]`` holds the
+    elements shocked or restored at step t; a mean over replicates has none.
     """
 
-    steps: tuple[TrajectoryStep, ...]
-    t_0: int
+    ne: tuple[float, ...]
     t_r: int
-    t_rs: int
+    batches: tuple[tuple, ...]
     reference_mean_weight: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.t_r < len(self.ne):
+            raise ValueError(f"t_r={self.t_r} lies outside [0, {len(self.ne)})")
 
     @property
     def ne0(self) -> float:
-        return self.steps[self.t_0].ne
+        return self.ne[0]
 
-    def phase_steps(self, phase: Phase) -> tuple[TrajectoryStep, ...]:
-        return tuple(s for s in self.steps if s.phase is phase)
+    def phase(self, t: int) -> Phase:
+        if t == 0:
+            return Phase.baseline
+        return Phase.shock if t <= self.t_r else Phase.recovery
 
 
 def child_seed(master_seed: int, *keys: int) -> int:
@@ -207,23 +208,29 @@ def _schedule(work: TradeNetwork, config: ScenarioConfig, batch: int, total: int
     return chunks
 
 
-def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
-    """Execute one full shock-then-recovery scenario and return its trajectory."""
-    work = net.fork()
-    reference = work.stats().mean_edge_weight
+def plan_scenario(net: TradeNetwork, config: ScenarioConfig) -> tuple[float, int, int]:
+    """The reference mean weight, batch size and shock total of a scenario on ``net``.
+
+    ``ValueError`` if it cannot run there: no active edge, or under one target to shock.
+    """
+    reference = net.stats().mean_edge_weight
     if reference <= 0:
         raise ValueError("scenario needs a network with at least one active edge")
-    if config.target_kind is TargetKind.nodes:
-        n_targets = work.n_active_nodes
-    else:
-        n_targets = work.n_active_edges
-    if config.shock_depth * n_targets < 1:
+    nodes = config.target_kind is TargetKind.nodes
+    n_targets = net.n_active_nodes if nodes else net.n_active_edges
+    depth = config.shock_depth * n_targets
+    if depth < 1:
         raise ValueError(
             f"shock depth {config.shock_depth} of {n_targets} targets covers "
             "less than one element; nothing to shock"
         )
-    batch = math.ceil(config.batch_fraction * n_targets)
-    total = math.ceil(config.shock_depth * n_targets)
+    return reference, math.ceil(config.batch_fraction * n_targets), math.ceil(depth)
+
+
+def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
+    """Execute one full shock-then-recovery scenario and return its trajectory."""
+    work = net.fork()
+    reference, batch, total = plan_scenario(work, config)
 
     # The baseline by a full evaluation: the check below compares against it.
     baseline = network_efficiency(work).raw_efficiency
@@ -243,27 +250,17 @@ def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
             f"restoring every batch gave raw efficiency {backward.raw_efficiency!r}, "
             f"not the baseline {baseline!r}"
         )
-
-    steps = [TrajectoryStep(0, baseline / reference, Phase.baseline, ())]
-    for chunk, raw in zip(chunks, reversed(shock_raw)):
-        steps.append(TrajectoryStep(len(steps), raw / reference, Phase.shock, chunk))
-    t_r = len(steps) - 1
+    ne = [baseline / reference] + [raw / reference for raw in reversed(shock_raw)]
 
     shocked = [element for chunk in chunks for element in chunk]
     if config.recovery_order is RecoveryOrder.reverse_shock_order:
         shocked.reverse()
+    restored = list(_chunked(shocked, batch))
     forward = DistanceEngine(work, deepest)
-    for chunk in _chunked(shocked, batch):
+    for chunk in restored:
         forward.restore(chunk)
-        ne = forward.raw_efficiency / reference
-        steps.append(TrajectoryStep(len(steps), ne, Phase.recovery, chunk))
-    return Trajectory(
-        steps=tuple(steps),
-        t_0=0,
-        t_r=t_r,
-        t_rs=len(steps) - 1,
-        reference_mean_weight=reference,
-    )
+        ne.append(forward.raw_efficiency / reference)
+    return Trajectory(tuple(ne), len(chunks), tuple(chunks + restored), reference)
 
 
 @dataclass(frozen=True)
@@ -293,13 +290,9 @@ def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomContr
             replicates=1,
         )
         runs.append(run_shock_recovery(net, cfg))
-    ne = np.array([[s.ne for s in t.steps] for t in runs])
-    mean = ne.mean(axis=0)
-    std = ne.std(axis=0)
-    steps = tuple(
-        TrajectoryStep(s.t, float(mean[k]), s.phase, ()) for k, s in enumerate(runs[0].steps)
-    )
-    return RandomControl(replace(runs[0], steps=steps), tuple(std.tolist()), tuple(runs))
+    ne = np.array([t.ne for t in runs])
+    mean = replace(runs[0], ne=tuple(ne.mean(axis=0).tolist()), batches=())
+    return RandomControl(mean, tuple(ne.std(axis=0).tolist()), tuple(runs))
 
 
 def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int) -> list:

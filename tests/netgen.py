@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tradeshock import Phase, TradeNetwork, Trajectory, TrajectoryStep
+from tradeshock import TradeNetwork, Trajectory
 
 GRID = 2.0**-20  # all values multiples of this stay exactly representable
 
@@ -123,16 +123,5 @@ def grid_trajectory(rng: np.random.Generator, max_steps: int = 12) -> Trajectory
 
     n_shock = int(rng.integers(1, max_steps + 1))
     n_recovery = int(rng.integers(1, max_steps + 1))
-    ne0 = k0 * GRID
-    steps = [TrajectoryStep(0, ne0, Phase.baseline, ())]
-    for _ in range(n_shock):
-        steps.append(TrajectoryStep(len(steps), draw(), Phase.shock, ()))
-    for _ in range(n_recovery):
-        steps.append(TrajectoryStep(len(steps), draw(), Phase.recovery, ()))
-    return Trajectory(
-        steps=tuple(steps),
-        t_0=0,
-        t_r=n_shock,
-        t_rs=len(steps) - 1,
-        reference_mean_weight=1.0,
-    )
+    ne = [k0 * GRID] + [draw() for _ in range(n_shock + n_recovery)]
+    return Trajectory(tuple(ne), t_r=n_shock, batches=(), reference_mean_weight=1.0)

@@ -35,7 +35,6 @@ from tradeshock import (
     TargetKind,
     TradeNetwork,
     Trajectory,
-    TrajectoryStep,
     network_efficiency,
     shortest_path_costs,
     strength,
@@ -395,11 +394,13 @@ def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Traject
     batch = math.ceil(config.batch_fraction * n_targets)
     total = math.ceil(config.shock_depth * n_targets)
 
-    steps: list[TrajectoryStep] = []
+    ne: list[float] = []
+    batches: list[tuple] = []
 
     def record(phase: Phase, chunk: tuple) -> None:
-        ne = network_efficiency(work).raw_efficiency / reference
-        steps.append(TrajectoryStep(len(steps), ne, phase, chunk))
+        ne.append(network_efficiency(work).raw_efficiency / reference)
+        if phase is not Phase.baseline:
+            batches.append(chunk)
 
     record(Phase.baseline, ())
     shocked: list = []
@@ -421,7 +422,7 @@ def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Traject
             _apply_shock(work, config.target_kind, chunk)
             shocked.extend(chunk)
             record(Phase.shock, chunk)
-    t_r = len(steps) - 1
+    t_r = len(ne) - 1
 
     if config.recovery_order is RecoveryOrder.shock_order:
         recovery_sequence: list = shocked
@@ -430,10 +431,4 @@ def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Traject
     for chunk in _chunked(recovery_sequence, batch):
         work.restore(chunk)
         record(Phase.recovery, chunk)
-    return Trajectory(
-        steps=tuple(steps),
-        t_0=0,
-        t_r=t_r,
-        t_rs=len(steps) - 1,
-        reference_mean_weight=reference,
-    )
+    return Trajectory(tuple(ne), t_r, tuple(batches), reference)

@@ -20,11 +20,9 @@ import pytest
 from tradeshock import (
     IndicatorKind,
     NODE_INDICATORS,
-    Phase,
     ScenarioConfig,
     TradeNetwork,
     Trajectory,
-    TrajectoryStep,
     betweenness,
     closeness,
     lone,
@@ -173,7 +171,7 @@ def test_criterion_5_restoration_identity(hub_matrix):
         runs, elapsed = hub_matrix
         assert len(runs) == 8
         for trajectory in _every_trajectory(runs):
-            drift = abs(trajectory.steps[trajectory.t_rs].ne - trajectory.steps[trajectory.t_0].ne)
+            drift = abs(trajectory.ne[-1] - trajectory.ne0)
             assert drift < 1e-12, f"restored NE drifted by {drift}"
         assert elapsed < 120.0, f"matrix took {elapsed:.1f}s"
 
@@ -194,12 +192,7 @@ def test_criterion_6_targeted_beats_random(hub_matrix):
 
 
 def make_trajectory(ne0, shock, recovery):
-    steps = [TrajectoryStep(0, ne0, Phase.baseline, ())]
-    for value in shock:
-        steps.append(TrajectoryStep(len(steps), value, Phase.shock, ()))
-    for value in recovery:
-        steps.append(TrajectoryStep(len(steps), value, Phase.recovery, ()))
-    return Trajectory(tuple(steps), 0, len(shock), len(steps) - 1, 1.0)
+    return Trajectory((ne0, *shock, *recovery), len(shock), (), 1.0)
 
 
 def test_criterion_7_resilience_arithmetic():
@@ -217,17 +210,12 @@ def test_criterion_7_resilience_arithmetic():
         for _ in range(100):
             trajectory = netgen.grid_trajectory(rng)
             report = summarize(trajectory)
-            shock_steps = trajectory.phase_steps(Phase.shock)
-            recovery_steps = trajectory.phase_steps(Phase.recovery)
+            ne, t_r = trajectory.ne, trajectory.t_r
             # forward differences telescope back to the endpoint gaps
-            assert math.fsum(report.roc_ds) == shock_steps[-1].ne - trajectory.ne0
-            assert math.fsum(report.roc_rs) == (
-                recovery_steps[-1].ne - trajectory.steps[trajectory.t_r].ne
-            )
+            assert math.fsum(report.roc_ds) == ne[t_r] - trajectory.ne0
+            assert math.fsum(report.roc_rs) == ne[-1] - ne[t_r]
             # areas add: whole-episode loss is the sum of the phase losses
-            whole = math.fsum(
-                trajectory.ne0 - s.ne for s in trajectory.steps if s.phase is not Phase.baseline
-            )
+            whole = math.fsum(trajectory.ne0 - v for v in ne[1:])
             assert report.lone_ds + report.lone_rs == whole
             assert report.resilience == whole
             assert report.r <= trajectory.ne0

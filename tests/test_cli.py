@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tradeshock import cli
 from tradeshock.cli import main
 
 UNIFORM_YEAR = 2001  # complete uniform 4-node network
@@ -394,21 +395,128 @@ def test_simulate_flags_and_manifest_share_scenario_defaults(tmp_path):
     assert_same_files(flags_out, manifest_out)
 
 
-def test_simulate_partial_failure_exits_two(tmp_path, capsys):
-    data = tmp_path / "trade.csv"
-    text = write_fixture(tmp_path / "base.csv").read_text()
-    # 2003 has a single isolated economy: every scenario on it must fail
-    data.write_text(text + "2003,XXX,XXX,import,5\n", encoding="utf-8")
+def test_simulate_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # A scenario that fails while it runs is reported; the others still run.
+    run = cli.run_shock_recovery
+
+    def failing_on_the_star_year(net, config):
+        if net.year == STAR_YEAR:
+            raise RuntimeError("engine failure")
+        return run(net, config)
+
+    monkeypatch.setattr(cli, "run_shock_recovery", failing_on_the_star_year)
+    data = write_fixture(tmp_path / "trade.csv")
     out_dir = tmp_path / "out"
     manifest_path = tmp_path / "manifest.json"
     manifest_path.write_text(json.dumps(manifest_for(data, out_dir)), encoding="utf-8")
     assert main(["simulate", "--manifest", str(manifest_path)]) == 2
     err = capsys.readouterr().err
-    assert "2003_nodes_out_degree failed" in err
-    # the healthy years still produced their outputs
+    assert "scenario 2002_nodes_out_degree failed: engine failure" in err
+    assert "scenario 2002_edges_edge_weight failed: engine failure" in err
+    # the healthy runs still produced their outputs
     report_lines = (out_dir / "reports.csv").read_text().strip().splitlines()
-    assert len(report_lines) == 7
-    assert not any("2003" in line for line in report_lines)
+    assert len(report_lines) == 5
+    assert [line.split(",")[:2] for line in report_lines if line.startswith("2002")] == [
+        ["2002", "random"]
+    ]
+
+
+def write_unrunnable_fixture(path: Path) -> Path:
+    """2020 has three edges; 2021 holds only a self-loop, so no edge at all."""
+    rows = ["year,reporter,partner,flow,value_usd"]
+    rows += ["2020,BBB,AAA,import,4", "2020,CCC,BBB,import,2", "2020,AAA,CCC,import,1"]
+    rows.append("2021,DDD,DDD,import,5")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "years, message",
+    [
+        (
+            "all",
+            "scenario 1 cannot run on 2020: shock depth 0.1 of 3 targets covers "
+            "less than one element; nothing to shock",
+        ),
+        (
+            "2021",
+            "scenario 1 cannot run on 2021: scenario needs a network with at least one active edge",
+        ),
+    ],
+)
+def test_simulate_scenario_that_cannot_run_exits_one(tmp_path, capsys, years, message):
+    data = write_unrunnable_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "-i", str(data), "-o", str(out_dir), "--years", years]
+    argv += ["--target", "edges", "--indicators", "edge_weight"]
+    assert main(argv + ["--shock-depth", "0.1", "--batch-fraction", "0.1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_simulate_random_control_that_cannot_run_exits_one(tmp_path, capsys):
+    data = write_unrunnable_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    manifest = {
+        "input": str(data),
+        "years": "2020",
+        "output_dir": str(out_dir),
+        "scenarios": [
+            {"target_kind": "edges", "indicator": "edge_weight"},
+            {
+                "target_kind": "edges",
+                "indicator": "random",
+                "replicates": 3,
+                "shock_depth": 0.1,
+                "batch_fraction": 0.1,
+            },
+        ],
+    }
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: scenario 2 cannot run on 2020: shock depth 0.1 of 3 targets covers "
+        "less than one element; nothing to shock\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "body", ["", "2001,AAA,BBB,export,5\n"], ids=["header_only", "export_only"]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ingest"],
+        ["efficiency"],
+        ["rank", "--indicator", "out_degree"],
+        ["impact"],
+        ["simulate", "-o", "out"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_file_without_records_of_the_flow_exits_one(tmp_path, capsys, monkeypatch, command, body):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.csv").write_text("year,reporter,partner,flow,value_usd\n" + body, encoding="utf-8")
+    assert main([command[0], "-i", "empty.csv", *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: empty.csv has no import records\n"
+    assert captured.out == ""
+    assert not Path("out").exists()
+
+
+def test_ingest_summary_explains_a_file_without_records(tmp_path, capsys):
+    data = tmp_path / "trade.csv"
+    data.write_text(
+        "year,reporter,partner,flow,value_usd\n2001,AAA,BBB,import,0\n2001,AAA,BBB,import,x\n",
+        encoding="utf-8",
+    )
+    assert main(["ingest", "-i", str(data), "--summary"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"{data}: 0 records parsed, 1 malformed rows, 1 zero-value rows dropped"
+    assert err[1].startswith(f"{data}:3: ")
+    assert err[2:] == [f"error: {data} has no import records"]
 
 
 def test_simulate_rejects_bad_manifest(tmp_path, capsys):

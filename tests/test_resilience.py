@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from tradeshock import (
     Phase,
     ScenarioConfig,
     Trajectory,
-    TrajectoryStep,
     lone,
     min_performance,
     rate_of_change,
@@ -19,18 +19,7 @@ from netgen import connected_random_network, grid_trajectory
 
 
 def make_trajectory(ne0, shock, recovery):
-    steps = [TrajectoryStep(0, ne0, Phase.baseline, ())]
-    for value in shock:
-        steps.append(TrajectoryStep(len(steps), value, Phase.shock, ()))
-    for value in recovery:
-        steps.append(TrajectoryStep(len(steps), value, Phase.recovery, ()))
-    return Trajectory(
-        steps=tuple(steps),
-        t_0=0,
-        t_r=len(shock),
-        t_rs=len(steps) - 1,
-        reference_mean_weight=1.0,
-    )
+    return Trajectory((ne0, *shock, *recovery), len(shock), (), 1.0)
 
 
 HAND = make_trajectory(1.0, [0.6, 0.2], [0.5, 1.0])
@@ -73,7 +62,7 @@ def test_constant_trajectory_is_lossless():
 
 def test_monotone_decline_min_is_last_shock_step():
     traj = make_trajectory(1.0, [0.8, 0.5, 0.1], [0.6, 1.0])
-    assert min_performance(traj) == traj.steps[traj.t_r].ne
+    assert min_performance(traj) == traj.ne[traj.t_r]
 
 
 def test_recovery_dip_still_counts_toward_minimum():
@@ -116,12 +105,10 @@ def test_telescoping_and_additivity_exact_on_grid_trajectories():
         traj = grid_trajectory(rng)
         report = summarize(traj)
         # forward differences telescope to the phase endpoints, bit for bit
-        assert math.fsum(report.roc_ds) == traj.steps[traj.t_r].ne - traj.ne0
-        assert math.fsum(report.roc_rs) == traj.steps[traj.t_rs].ne - traj.steps[traj.t_r].ne
+        assert math.fsum(report.roc_ds) == traj.ne[traj.t_r] - traj.ne0
+        assert math.fsum(report.roc_rs) == traj.ne[-1] - traj.ne[traj.t_r]
         # areas agree with an independently ordered exact summation
-        assert report.lone_ds == math.fsum(
-            traj.ne0 - s.ne for s in traj.phase_steps(Phase.shock)
-        )
+        assert report.lone_ds == math.fsum(traj.ne0 - v for v in traj.ne[1 : traj.t_r + 1])
         assert report.resilience == report.lone_ds + report.lone_rs
         assert report.lone_ds >= 0.0
         assert report.lone_rs >= 0.0
@@ -133,17 +120,8 @@ def test_pointwise_dominance_orders_losses():
     for _ in range(20):
         upper = grid_trajectory(rng)
         dip = float(rng.integers(1, 50)) * 2.0**-20
-        lowered = [
-            TrajectoryStep(s.t, max(0.0, s.ne - dip) if s.phase is not Phase.baseline else s.ne, s.phase, ())
-            for s in upper.steps
-        ]
-        lower = Trajectory(
-            steps=tuple(lowered),
-            t_0=upper.t_0,
-            t_r=upper.t_r,
-            t_rs=upper.t_rs,
-            reference_mean_weight=upper.reference_mean_weight,
-        )
+        lowered = (upper.ne0, *(max(0.0, v - dip) for v in upper.ne[1:]))
+        lower = replace(upper, ne=lowered)
         for phase in (Phase.shock, Phase.recovery):
             assert lone(upper, phase) <= lone(lower, phase)
 
@@ -160,4 +138,4 @@ def test_simulated_trajectory_report_is_consistent():
     assert report.lone_rs >= 0.0
     assert report.complete
     # recovery ends where it started, so its rates telescope to R..ne0
-    assert sum(report.roc_rs) == pytest.approx(report.ne0 - traj.steps[traj.t_r].ne, abs=1e-12)
+    assert sum(report.roc_rs) == pytest.approx(report.ne0 - traj.ne[traj.t_r], abs=1e-12)

@@ -15,6 +15,7 @@ from tradeshock import (
     ScenarioConfig,
     TargetKind,
     TradeNetwork,
+    Trajectory,
     build_network,
     network_efficiency,
     rank_by_impact,
@@ -85,18 +86,22 @@ def test_config_accepts_plain_strings():
 # -- trajectory shape ----------------------------------------------------------
 
 
+def shocked_and_restored(traj: Trajectory) -> tuple[list, list]:
+    """The elements in the order the shock phase took them, and the recovery phase."""
+    shocked = [e for chunk in traj.batches[: traj.t_r] for e in chunk]
+    restored = [e for chunk in traj.batches[traj.t_r :] for e in chunk]
+    return shocked, restored
+
+
 def test_batch_arithmetic_on_200_nodes():
     net = hub_network()
     cfg = ScenarioConfig(target_kind="nodes", indicator="out_degree")
     traj = run_shock_recovery(net, cfg)
-    shock_steps = traj.phase_steps(Phase.shock)
-    recovery_steps = traj.phase_steps(Phase.recovery)
     # 1% of 200 -> batches of 2; 50% depth -> 100 nodes -> 50 steps each way
-    assert len(shock_steps) == 50
-    assert all(len(s.elements) == 2 for s in shock_steps)
-    assert len(recovery_steps) == 50
-    assert len(traj.steps) == 101
-    assert (traj.t_0, traj.t_r, traj.t_rs) == (0, 50, 100)
+    assert traj.t_r == 50
+    assert len(traj.ne) == 101
+    assert len(traj.batches) == 100
+    assert all(len(chunk) == 2 for chunk in traj.batches)
 
 
 def test_shock_step_count_matches_ceiling_rule():
@@ -112,29 +117,33 @@ def test_shock_step_count_matches_ceiling_rule():
         m = net.n_nodes
         batch = math.ceil(frac * m)
         total = math.ceil(depth * m)
-        assert len(traj.phase_steps(Phase.shock)) == math.ceil(total / batch)
-        shocked = [e for s in traj.phase_steps(Phase.shock) for e in s.elements]
-        assert len(shocked) == total
+        assert traj.t_r == math.ceil(total / batch)
+        assert len(shocked_and_restored(traj)[0]) == total
 
 
 def test_phases_are_contiguous_and_marked(medium_net):
     cfg = ScenarioConfig(target_kind="nodes", indicator="betweenness", batch_fraction=0.1)
     traj = run_shock_recovery(medium_net, cfg)
-    phases = [s.phase for s in traj.steps]
+    phases = [traj.phase(t) for t in range(len(traj.ne))]
     assert phases[0] is Phase.baseline
     boundary = phases.index(Phase.recovery)
+    assert boundary == traj.t_r + 1
     assert all(p is Phase.shock for p in phases[1:boundary])
     assert all(p is Phase.recovery for p in phases[boundary:])
-    assert traj.steps[traj.t_r].phase is Phase.shock
-    assert [s.t for s in traj.steps] == list(range(len(traj.steps)))
-    assert traj.t_0 < traj.t_r <= traj.t_rs
+    assert len(traj.batches) == len(traj.ne) - 1
+
+
+@pytest.mark.parametrize("t_r", [-1, 3])
+def test_trajectory_rejects_a_peak_outside_its_series(t_r):
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        Trajectory((1.0, 0.5, 1.0), t_r, (), 1.0)
 
 
 def test_restoration_identity_is_bit_exact(medium_net):
     for indicator in ("out_degree", "in_strength", "pagerank"):
         cfg = ScenarioConfig(target_kind="nodes", indicator=indicator, batch_fraction=0.13)
         traj = run_shock_recovery(medium_net, cfg)
-        assert traj.steps[-1].ne == traj.ne0
+        assert traj.ne[-1] == traj.ne0
 
 
 def test_reference_frozen_at_baseline(medium_net):
@@ -147,8 +156,7 @@ def test_reference_frozen_at_baseline(medium_net):
 def test_recovery_replays_shock_order(medium_net):
     cfg = ScenarioConfig(target_kind="nodes", indicator="out_degree", batch_fraction=0.1)
     traj = run_shock_recovery(medium_net, cfg)
-    shocked = [e for s in traj.phase_steps(Phase.shock) for e in s.elements]
-    restored = [e for s in traj.phase_steps(Phase.recovery) for e in s.elements]
+    shocked, restored = shocked_and_restored(traj)
     assert restored == shocked
 
 
@@ -160,17 +168,16 @@ def test_reverse_recovery_order(medium_net):
         recovery_order="reverse_shock_order",
     )
     traj = run_shock_recovery(medium_net, cfg)
-    shocked = [e for s in traj.phase_steps(Phase.shock) for e in s.elements]
-    restored = [e for s in traj.phase_steps(Phase.recovery) for e in s.elements]
+    shocked, restored = shocked_and_restored(traj)
     assert restored == shocked[::-1]
-    assert traj.steps[-1].ne == traj.ne0
+    assert traj.ne[-1] == traj.ne0
 
 
 def test_edge_scenario_runs_and_restores(medium_net):
     cfg = ScenarioConfig(target_kind="edges", indicator="edge_weight", batch_fraction=0.05)
     traj = run_shock_recovery(medium_net, cfg)
-    assert traj.steps[-1].ne == traj.ne0
-    shocked = [e for s in traj.phase_steps(Phase.shock) for e in s.elements]
+    assert traj.ne[-1] == traj.ne0
+    shocked = shocked_and_restored(traj)[0]
     assert len(shocked) == math.ceil(0.5 * medium_net.n_edges)
     # heaviest relationship goes first
     heaviest = max(medium_net.active_edges(), key=lambda e: e.weight)
@@ -203,11 +210,9 @@ def test_recompute_rankings_follows_the_surviving_network():
     )
     static = run_shock_recovery(net, ScenarioConfig(**base))
     dynamic = run_shock_recovery(net, ScenarioConfig(**base, recompute_rankings=True))
-    static_order = [e for s in static.phase_steps(Phase.shock) for e in s.elements]
-    dynamic_order = [e for s in dynamic.phase_steps(Phase.shock) for e in s.elements]
-    assert static_order == ["X", "Y", "Z"]
-    assert dynamic_order == ["X", "Z", "Y"]
-    assert dynamic.steps[-1].ne == dynamic.ne0
+    assert shocked_and_restored(static)[0] == ["X", "Y", "Z"]
+    assert shocked_and_restored(dynamic)[0] == ["X", "Z", "Y"]
+    assert dynamic.ne[-1] == dynamic.ne0
 
 
 @pytest.mark.parametrize("indicator", ["hubs", "authorities"])
@@ -222,8 +227,8 @@ def test_hits_reranking_survives_a_network_without_edges(indicator):
         recompute_rankings=True,
     )
     traj = run_shock_recovery(star_network(), cfg)
-    assert traj.steps[traj.t_r].ne == 0.0
-    assert traj.steps[-1].ne == traj.ne0
+    assert traj.ne[traj.t_r] == 0.0
+    assert traj.ne[-1] == traj.ne0
 
 
 # -- exactness against the forward full recompute -----------------------------
@@ -349,7 +354,7 @@ def test_scenario_runs_dijkstra_at_the_baseline_and_the_deepest_state_only(monke
 
     monkeypatch.setattr(efficiency, "dijkstra", counting)
     traj = run_shock_recovery(net, ScenarioConfig(target_kind="nodes", indicator="out_degree"))
-    assert len(traj.steps) == 43
+    assert len(traj.ne) == 43
     assert rows == [41, 41]
 
 
@@ -375,7 +380,7 @@ def test_random_control_deterministic(medium_net):
     )
     a = run_random_control(medium_net, cfg)
     b = run_random_control(medium_net, cfg)
-    assert [s.ne for s in a.mean.steps] == [s.ne for s in b.mean.steps]
+    assert a.mean.ne == b.mean.ne
     assert a.std == b.std
 
 
@@ -384,13 +389,10 @@ def test_random_control_replicates_differ_but_all_restore(medium_net):
         target_kind="nodes", indicator="random", batch_fraction=0.1, replicates=6, master_seed=9
     )
     control = run_random_control(medium_net, cfg)
-    orders = {
-        tuple(e for s in t.phase_steps(Phase.shock) for e in s.elements)
-        for t in control.replicates
-    }
+    orders = {tuple(shocked_and_restored(t)[0]) for t in control.replicates}
     assert len(orders) > 1
     for t in control.replicates:
-        assert t.steps[-1].ne == t.ne0
+        assert t.ne[-1] == t.ne0
 
 
 def test_random_control_std_zero_at_endpoints(medium_net):
@@ -408,8 +410,10 @@ def test_random_control_mean_matches_direct_aggregation(medium_net):
         target_kind="nodes", indicator="random", batch_fraction=0.2, replicates=4, master_seed=2
     )
     control = run_random_control(medium_net, cfg)
-    matrix = np.array([[s.ne for s in t.steps] for t in control.replicates])
-    assert np.array_equal(np.array([s.ne for s in control.mean.steps]), matrix.mean(axis=0))
+    matrix = np.array([t.ne for t in control.replicates])
+    assert np.array_equal(np.array(control.mean.ne), matrix.mean(axis=0))
+    assert control.mean.t_r == control.replicates[0].t_r
+    assert control.mean.batches == ()
     assert np.array_equal(np.array(control.std), matrix.std(axis=0))
 
 
