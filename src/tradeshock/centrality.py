@@ -89,7 +89,7 @@ def closeness(net: TradeNetwork, direction: str = "out") -> np.ndarray:
     n = net.n_nodes
     if n < 2:
         return np.zeros(n)
-    return _pair_efficiencies(shortest_path_costs(net), np.arange(n)).sum(axis=axis) / (n - 1)
+    return _pair_efficiencies(shortest_path_costs(net)).sum(axis=axis) / (n - 1)
 
 
 # Largest shortest-path count betweenness keeps exact (int64 holds up to 2**63 - 1).
@@ -225,6 +225,9 @@ def hits(
 
     Both vectors are L2-normalized each step and nonnegative throughout.
     Raises on a network with no active edges (the iteration is undefined).
+    When the change between steps is still at or above ``tol`` after
+    ``max_iter`` steps, warns with a ``RuntimeWarning`` and returns the last
+    iterate, which need not be close to the fixed point.
     """
     w = net.active_weights()
     if not w.any():

@@ -202,7 +202,6 @@ def cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
@@ -341,6 +340,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             run_seed = child_seed(master_seed, zlib.crc32(run_id.encode("ascii")))
             tasks.append((run_id, year, replace(scenario, master_seed=run_seed)))
 
+    (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
     results: list[dict] = []
     failures: list[tuple[str, str]] = []
     for run_id, year, config in tasks:

@@ -56,19 +56,21 @@ def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
     return dijkstra(graph, directed=True, indices=sources)
 
 
-def _pair_efficiencies(costs: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Pair efficiencies of cost rows, the k-th row having source ``sources[k]``."""
+def _pair_efficiencies(costs: np.ndarray) -> np.ndarray:
+    """Pair efficiencies ``1 / d`` of an ``N x N`` cost matrix, 0 on the diagonal.
+
+    Unreachable pairs need no pass of their own: ``1.0 / inf`` is ``+0.0``.
+    """
     with np.errstate(divide="ignore"):
         pair_eff = 1.0 / costs
-    pair_eff[np.arange(len(sources)), sources] = 0.0  # a node with itself: cost 0 -> inf
-    pair_eff[np.isinf(costs)] = 0.0  # unreachable pairs contribute nothing
+    np.fill_diagonal(pair_eff, 0.0)  # a node with itself: cost 0 -> inf
     return pair_eff
 
 
-def _mean_pair_efficiency(pair_eff: np.ndarray) -> float:
-    """Raw efficiency: the full ``N x N`` pair-efficiency matrix over N(N-1) pairs."""
-    n = pair_eff.shape[0]
-    return float(pair_eff.sum()) / (n * (n - 1))
+def _raw_efficiency(costs: np.ndarray) -> float:
+    """Raw efficiency: the pair efficiencies of an ``N x N`` cost matrix over N(N-1) pairs."""
+    n = costs.shape[0]
+    return float(_pair_efficiencies(costs).sum()) / (n * (n - 1))
 
 
 def path_efficiency(net: TradeNetwork, source: str, target: str) -> float:
@@ -76,8 +78,7 @@ def path_efficiency(net: TradeNetwork, source: str, target: str) -> float:
     i, j = net.index_of(source), net.index_of(target)
     if i == j:
         raise ValueError(f"path efficiency is undefined for a node with itself ({source!r})")
-    cost = shortest_path_costs(net, sources=i)[j]
-    return 0.0 if np.isinf(cost) else 1.0 / float(cost)
+    return float(1.0 / shortest_path_costs(net, sources=i)[j])
 
 
 def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
@@ -90,7 +91,7 @@ def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
     n = net.n_nodes
     if n < 2:
         return EfficiencyResult(0.0, 0.0, 0.0, degenerate=True)
-    raw = _mean_pair_efficiency(_pair_efficiencies(shortest_path_costs(net), np.arange(n)))
+    raw = _raw_efficiency(shortest_path_costs(net))
     reference = net.stats().mean_edge_weight
     normalized = raw / reference if reference > 0 else 0.0
     return EfficiencyResult(raw, normalized, reference)
@@ -141,7 +142,7 @@ class DistanceEngine:
     @property
     def raw_efficiency(self) -> float:
         """Raw efficiency of ``net``, summed exactly as :func:`network_efficiency` sums it."""
-        return _mean_pair_efficiency(_pair_efficiencies(self.costs, np.arange(self.net.n_nodes)))
+        return _raw_efficiency(self.costs)
 
     def restore(self, elements) -> None:
         """Reactivate ``elements`` on ``net`` and bring ``costs`` up to date."""

@@ -2,14 +2,16 @@
 
 File contract: UTF-8 comma-delimited text with the header row
 ``year,reporter,partner,flow,value_usd`` (column order free, extra columns
-ignored), '.' decimal separator, no thousands separators. A path ending in
-``.gz`` is read gzip-compressed. Malformed rows are collected with their
+ignored), '.' decimal separator, no thousands separators, and an optional
+leading byte-order mark. A path ending in ``.gz`` is gzip-compressed, for
+reading and for writing. Malformed rows are collected with their
 line numbers instead of aborting the parse; zero-value rows are dropped
 and counted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
@@ -59,15 +61,18 @@ class ParseReport:
     zero_value_rows: int = 0
 
 
-def _open_source(source):
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise TradeFileError(f"trade file not found: {path}")
-        if path.suffix == ".gz":
-            return gzip.open(path, "rt", encoding="utf-8", newline=""), True
-        return open(path, "r", encoding="utf-8", newline=""), True
-    return source, False
+def _open(source: str | Path | io.TextIOBase, mode: str):
+    """Open a trade file for ``mode`` "r" or "w": gzip if the path ends in ``.gz``.
+
+    A stream is used as given and left open when the ``with`` block ends.
+    """
+    if not isinstance(source, (str, Path)):
+        return contextlib.nullcontext(source)
+    path = Path(source)
+    if mode == "r" and not path.exists():
+        raise TradeFileError(f"trade file not found: {path}")
+    opener = gzip.open if path.suffix == ".gz" else open
+    return opener(path, mode + "t", encoding="utf-8", newline="")
 
 
 def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
@@ -78,9 +83,8 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
     numbers and parsing continues at the next line. Only a missing,
     unreadable or incomplete header is fatal.
     """
-    fh, own = _open_source(source)
     report = ParseReport()
-    try:
+    with _open(source, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -88,6 +92,8 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
             raise TradeFileError("empty file: header row is required") from None
         except csv.Error as exc:
             raise TradeFileError(f"unreadable header row: {exc}") from None
+        if header:  # a byte-order mark, as spreadsheet "CSV UTF-8" exports write one
+            header[0] = header[0].removeprefix("\ufeff")
         names = [h.strip().lower() for h in header]
         missing = [col for col in HEADER if col not in names]
         if missing:
@@ -128,9 +134,6 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
                 report.row_errors.append((lineno, str(exc)))
                 continue
             report.records.append(record)
-    finally:
-        if own:
-            fh.close()
     return report
 
 
@@ -169,15 +172,9 @@ def network_to_records(net: TradeNetwork) -> list[TradeRecord]:
 
 
 def write_trade_file(records: Sequence[TradeRecord], dest: str | Path | io.TextIOBase) -> None:
-    """Write records in the canonical file format."""
-    fh, own = (open(dest, "w", encoding="utf-8", newline=""), True) if isinstance(
-        dest, (str, Path)
-    ) else (dest, False)
-    try:
+    """Write records in the canonical file format (gzip if the path ends in ``.gz``)."""
+    with _open(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
         for r in records:
             writer.writerow([r.year, r.reporter, r.partner, r.flow, repr(r.value)])
-    finally:
-        if own:
-            fh.close()

@@ -10,6 +10,7 @@ shocked itself, and both endpoints are unshocked.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -146,12 +147,7 @@ class TradeNetwork:
 
     def fork(self) -> "TradeNetwork":
         """Copy with private masks; the baseline matrix is shared read-only."""
-        clone = object.__new__(TradeNetwork)
-        clone._codes = self._codes
-        clone._index = self._index
-        clone._weights = self._weights
-        clone._has_edge = self._has_edge
-        clone.year = self.year
+        clone = copy.copy(self)
         clone._node_shocked = self._node_shocked.copy()
         clone._edge_shocked = self._edge_shocked.copy()
         return clone

@@ -482,6 +482,22 @@ def test_simulate_random_control_that_cannot_run_exits_one(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_simulate_into_a_regular_file_exits_one_before_any_scenario(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_shock_recovery", lambda net, config: calls.append(config))
+    data = write_fixture(tmp_path / "trade.csv")
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    argv = ["simulate", "-i", str(data), "-o", str(tmp_path / "afile")]
+    argv += ["--indicators", "out_degree,pagerank"]
+    argv += ["--batch-fraction", "0.34", "--shock-depth", "0.67"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "body", ["", "2001,AAA,BBB,export,5\n"], ids=["header_only", "export_only"]
 )

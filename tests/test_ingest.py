@@ -159,13 +159,40 @@ def test_round_trip_through_file(tmp_path):
     report = parse_trade_file(io.StringIO(CANONICAL))
     nets = build_yearly_networks(report.records)
     records = network_to_records(nets[2007])
-    path = tmp_path / "again.csv"
-    write_trade_file(records, path)
-    nets2 = build_yearly_networks(parse_trade_file(path).records)
     import numpy as np
 
-    assert nets2[2007].codes == nets[2007].codes
-    assert np.array_equal(nets2[2007].baseline_weights, nets[2007].baseline_weights)
+    for name in ("again.csv", "again.csv.gz"):
+        path = tmp_path / name
+        write_trade_file(records, path)
+        nets2 = build_yearly_networks(parse_trade_file(path).records)
+        assert nets2[2007].codes == nets[2007].codes
+        assert np.array_equal(nets2[2007].baseline_weights, nets[2007].baseline_weights)
+    plain = (tmp_path / "again.csv").read_bytes()
+    assert gzip.decompress((tmp_path / "again.csv.gz").read_bytes()) == plain
+
+    buffer = io.StringIO()
+    write_trade_file(records, buffer)
+    assert not buffer.closed
+    assert buffer.getvalue().encode("utf-8") == plain
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("kind", ["path", "gzip", "stream"])
+def test_byte_order_mark_is_ignored(tmp_path, kind):
+    def source(text):
+        if kind == "stream":
+            return io.StringIO(text)
+        path = tmp_path / ("bom.csv" if text.startswith(BOM) else "plain.csv")
+        if kind == "path":
+            path.write_text(text, encoding="utf-8")
+            return path
+        path = path.with_suffix(".csv.gz")
+        path.write_bytes(gzip.compress(text.encode("utf-8")))
+        return path
+
+    assert parse_trade_file(source(BOM + CANONICAL)) == parse_trade_file(source(CANONICAL))
 
 
 def test_network_without_year_cannot_serialize():

@@ -147,6 +147,15 @@ def test_fork_is_independent():
         net.baseline_weights[0, 0] = 1.0
 
 
+def test_fork_copies_every_attribute_and_shares_no_mask():
+    net = small_net().shock_edges([("USA", "CHN")])
+    child = net.fork()
+    assert vars(child).keys() == vars(net).keys()
+    assert not np.shares_memory(child._node_shocked, net._node_shocked)
+    assert not np.shares_memory(child._edge_shocked, net._edge_shocked)
+    assert np.array_equal(child.active_edge_mask, net.active_edge_mask)
+
+
 def test_stats_hand_values():
     net = build_network([("A", "B", 10.0), ("B", "C", 30.0)])
     s = net.stats()
