@@ -20,6 +20,7 @@ structural damage, not renormalization drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,12 +37,35 @@ class EfficiencyResult:
     degenerate: bool = False  # fewer than 2 nodes: efficiency defined as 0
 
 
-def _length_graph(net: TradeNetwork) -> csr_matrix:
-    n = net.n_nodes
-    flat = np.flatnonzero(net.active_edge_mask)  # row-major, so already in CSR order
-    lengths = 1.0 / net.baseline_weights.reshape(-1)[flat]
-    row_starts = np.searchsorted(flat, np.arange(n + 1) * n)
-    return csr_matrix((lengths, flat % n, row_starts), shape=(n, n))
+class _Graph(NamedTuple):
+    """Compressed rows: row ``m`` holds the far ends ``indices[indptr[m]:indptr[m + 1]]``
+    of its edges and their lengths ``data[indptr[m]:indptr[m + 1]]``.
+
+    The fields are in scipy's ``(data, indices, indptr)`` order, so
+    ``csr_matrix`` takes the tuple as it is.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _edge_lengths(weights: np.ndarray) -> np.ndarray:
+    """The length ``1/w`` of every entry of a weight matrix; ``inf`` where there is no edge."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / weights
+
+
+def _length_graph(mask: np.ndarray, lengths: np.ndarray) -> _Graph:
+    """The edges set in ``mask`` as compressed rows, with their ``lengths``.
+
+    Given the active edge mask these are the CSR arrays of the length graph:
+    its out-edges. Given the transposes of both (``lengths`` C-contiguous)
+    they are its CSC arrays with sorted indices: its in-edges.
+    """
+    n = mask.shape[0]
+    flat = np.flatnonzero(mask)  # row-major, so already in row order
+    return _Graph(lengths.reshape(-1)[flat], flat % n, np.searchsorted(flat, np.arange(n + 1) * n))
 
 
 def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
@@ -50,7 +74,8 @@ def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
     Returns the full matrix when ``sources`` is None, otherwise the rows
     for the given source indices. Unreachable pairs are ``inf``.
     """
-    graph = _length_graph(net)
+    lengths = _edge_lengths(net.baseline_weights)
+    graph = csr_matrix(_length_graph(net.active_edge_mask, lengths), shape=lengths.shape)
     if sources is None:
         return dijkstra(graph, directed=True)
     return dijkstra(graph, directed=True, indices=sources)
@@ -105,6 +130,15 @@ class DistanceEngine:
     the masks of ``net`` and update ``costs`` in place, bit-identical to
     :func:`shortest_path_costs` of the changed network.
 
+    The engine owns a fixed length graph: the lengths ``1/w`` of every
+    baseline edge, taken once at construction (the baseline weights never
+    change). Each call reads the active edge mask before and after its
+    change and takes the active out-edges and in-edges from it as plain
+    compressed-row arrays; it keeps no mask state between calls. So between
+    calls the masks may change only through :meth:`restore` and
+    :meth:`remove`, or by a caller that puts back both the masks and the
+    matching ``costs``, as :func:`~tradeshock.simulation.rank_by_impact` does.
+
     Let ``W[i, v]`` be the least cost of a walk from ``i`` to ``v``, summed
     left to right in floating point. As ``fl(x + l)`` is monotone in ``x``
     and never below ``x``, a matrix with a zero diagonal that satisfies
@@ -138,21 +172,31 @@ class DistanceEngine:
             raise ValueError(f"a distance engine needs at least 2 nodes, got {net.n_nodes}")
         self.net = net
         self.costs = costs
+        self._lengths = _edge_lengths(net.baseline_weights)
+        self._lengths_in = np.ascontiguousarray(self._lengths.T)  # [v, u]: length of u -> v
 
     @property
     def raw_efficiency(self) -> float:
         """Raw efficiency of ``net``, summed exactly as :func:`network_efficiency` sums it."""
         return _raw_efficiency(self.costs)
 
+    def _out_edges(self, mask: np.ndarray) -> _Graph:
+        return _length_graph(mask, self._lengths)
+
+    def _in_edges(self, mask: np.ndarray) -> _Graph:
+        return _length_graph(mask.T, self._lengths_in)
+
     def restore(self, elements) -> None:
         """Reactivate ``elements`` on ``net`` and bring ``costs`` up to date."""
         net, flat = self.net, self.costs.reshape(-1)  # a view: writes land in costs
         before = net.active_edge_mask
         net.restore(elements)
+        after = net.active_edge_mask
         changed = np.zeros(flat.size, dtype=bool)
-        for entries, candidates in self._candidates(net.active_edge_mask & ~before):
+        for entries, candidates in self._candidates(after & ~before):
             _relax(flat, entries, candidates, changed)
-        self._settle(_length_graph(net), changed)
+        if changed.any():
+            self._settle(self._out_edges(after), changed)
 
     def remove(self, elements) -> bool:
         """Shock ``elements`` (node codes and edges, in order) on ``net``; update ``costs``.
@@ -166,13 +210,14 @@ class DistanceEngine:
                 net.shock_nodes([element])
             else:
                 net.shock_edges([element])
+        after = net.active_edge_mask
         marked = np.zeros(flat.size, dtype=bool)
-        for entries, candidates in self._candidates(before & ~net.active_edge_mask):
+        for entries, candidates in self._candidates(before & ~after):
             marked[entries[(candidates == flat[entries]) & np.isfinite(candidates)]] = True
         if not marked.any():
             return False
 
-        graph = _length_graph(net)
+        graph = self._out_edges(after)
         frontier = np.flatnonzero(marked)
         while frontier.size:
             grown = np.zeros_like(marked)
@@ -186,7 +231,7 @@ class DistanceEngine:
         entries = np.flatnonzero(marked)
         flat[entries] = np.inf
         changed = np.zeros_like(marked)
-        into = graph.tocsc()  # column v lists the in-edges of v
+        into = self._in_edges(after)  # row v lists the in-edges of v
         for a, b, deg, slots, sources in _edge_slices(into, entries):
             candidates = flat[sources] + into.data[slots]
             _relax(flat, np.repeat(entries[a:b], deg), candidates, changed)
@@ -197,13 +242,13 @@ class DistanceEngine:
         """Per N edges ``(u, v)`` set in mask ``edges``: entries ``(i, v)``, ``fl(D[i, u] + l)``."""
         n = self.net.n_nodes
         tails, heads = np.divmod(np.flatnonzero(edges), n)
-        lengths = 1.0 / self.net.baseline_weights[tails, heads]
+        lengths = self._lengths[tails, heads]
         row_starts = np.arange(n)[:, None] * n
         for s in range(0, tails.size, n):
             u, v = tails[s : s + n], heads[s : s + n]
             yield (row_starts + v).ravel(), (self.costs[:, u] + lengths[s : s + n]).ravel()
 
-    def _settle(self, graph: csr_matrix, changed: np.ndarray) -> None:
+    def _settle(self, graph: _Graph, changed: np.ndarray) -> None:
         """Relax the out-edges of every ``changed`` entry, round by round, until none improves."""
         n, flat = self.net.n_nodes, self.costs.reshape(-1)
         for _ in range(n + 1):
@@ -217,16 +262,15 @@ class DistanceEngine:
         raise RuntimeError(f"label correction did not settle within {n + 1} rounds")
 
 
-def _edge_slices(graph, entries: np.ndarray):
-    """Expand flat entries ``(i, m)`` to the edges that ``graph`` stores for node ``m``.
+def _edge_slices(graph: _Graph, entries: np.ndarray):
+    """Expand flat entries ``(i, m)`` to the edges that ``graph`` holds in row ``m``.
 
-    ``graph`` is CSR (out-edges) or CSC (in-edges), and ``entries`` is not
-    empty. Yields ``(a, b, deg,
-    slots, ends)`` per slice of about ``N * N`` edges: entries ``a:b``, their
-    degrees, each edge's storage slot in entry order, and the flat entry
-    ``(i, k)`` at the edge's other end ``k``.
+    ``graph`` is the out-edges or the in-edges, and ``entries`` is not
+    empty. Yields ``(a, b, deg, slots, ends)`` per slice of about ``N * N``
+    edges: entries ``a:b``, their degrees, each edge's storage slot in entry
+    order, and the flat entry ``(i, k)`` at the edge's other end ``k``.
     """
-    n = graph.shape[0]
+    n = graph.indptr.size - 1
     rows, nodes = np.divmod(entries, n)
     starts = graph.indptr[nodes]
     degrees = graph.indptr[nodes + 1] - starts

@@ -70,9 +70,21 @@ class TradeNetwork:
             raise ValueError(f"weight matrix shape {w.shape} does not match {n} codes")
         if not np.isfinite(w).all() or (w < 0).any():
             raise ValueError("weights must be finite and nonnegative")
+        has_edge = w > 0
+        with np.errstate(divide="ignore", over="ignore"):
+            too_light = has_edge & np.isinf(1.0 / w)
+            total = w[has_edge].sum()
+        if too_light.any():
+            i, j = np.argwhere(too_light)[0]
+            raise ValueError(
+                f"{self._codes[i]} -> {self._codes[j]}{_in_year(year)}: weight "
+                f"{float(w[i, j])!r} is too small, its length 1/w overflows"
+            )
+        if not np.isfinite(total):
+            raise ValueError(f"the total trade volume{_in_year(year)} overflows")
         w.setflags(write=False)
         self._weights = w
-        self._has_edge = w > 0
+        self._has_edge = has_edge
         self._has_edge.setflags(write=False)
         self.year = year
         self._node_shocked = np.zeros(n, dtype=bool)
@@ -118,8 +130,10 @@ class TradeNetwork:
 
     @property
     def active_edge_mask(self) -> np.ndarray:
-        act = ~self._node_shocked
-        return self._has_edge & ~self._edge_shocked & act[:, None] & act[None, :]
+        mask = self._has_edge > self._edge_shocked  # an edge, and not shocked itself
+        mask[self._node_shocked] = False
+        mask[:, self._node_shocked] = False
+        return mask
 
     @property
     def n_active_nodes(self) -> int:
@@ -154,48 +168,82 @@ class TradeNetwork:
 
     # -- shock / restore ----------------------------------------------------
 
+    def _lookup(self, codes: Iterable[str]) -> np.ndarray:
+        """The indices of ``codes``; -1 for a code the network does not know."""
+        index = self._index
+        return np.array([index.get(code, -1) for code in codes], dtype=np.intp)
+
+    def _lookup_pairs(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+        ends = self._lookup([code for source, target in pairs for code in (source, target)])
+        return ends[0::2], ends[1::2]
+
     def shock_nodes(self, targets: Iterable[str]) -> "TradeNetwork":
-        """Mask the given nodes; all incident edges go inactive with them."""
-        for code in targets:
-            i = self.index_of(code)
-            if self._node_shocked[i]:
-                raise ShockStateError(f"node {code!r} is already shocked")
-            self._node_shocked[i] = True
+        """Mask the given nodes; all incident edges go inactive with them.
+
+        The batch is checked before anything changes: an unknown, already
+        shocked or repeated node raises for the first such node in batch
+        order, and the masks stay as they were.
+        """
+        codes = list(targets)
+        nodes = self._lookup(codes)
+        bad = (nodes < 0) | self._node_shocked[nodes] | _repeats(nodes)
+        if bad.any():
+            code = codes[bad.argmax()]
+            self.index_of(code)  # raises for an unknown code
+            raise ShockStateError(f"node {code!r} is already shocked")
+        self._node_shocked[nodes] = True
         return self
 
     def shock_edges(self, targets: Iterable[EdgePair]) -> "TradeNetwork":
-        """Mask the given edges only; endpoints stay active even if isolated."""
-        for source, target in targets:
-            i, j = self.index_of(source), self.index_of(target)
+        """Mask the given edges only; endpoints stay active even if isolated.
+
+        Checked as a batch, like :meth:`shock_nodes`: the first bad edge
+        (unknown, already shocked, repeated, or behind a shocked endpoint)
+        raises and no mask changes.
+        """
+        pairs = list(targets)
+        i, j = self._lookup_pairs(pairs)
+        bad = (np.minimum(i, j) < 0) | (self._has_edge[i, j] <= self._edge_shocked[i, j])
+        bad |= self._node_shocked[i] | self._node_shocked[j]
+        bad |= _repeats(i * self.n_nodes + j)
+        if bad.any():
+            source, target = pairs[bad.argmax()]
+            i, j = self.index_of(source), self.index_of(target)  # raise for an unknown code
             if not self._has_edge[i, j]:
                 raise ValueError(f"no such trade relationship {source!r} -> {target!r}")
-            if self._edge_shocked[i, j]:
-                raise ShockStateError(f"edge {source!r} -> {target!r} is already shocked")
-            if self._node_shocked[i] or self._node_shocked[j]:
-                raise ShockStateError(
-                    f"edge {source!r} -> {target!r} is inactive via a shocked endpoint"
-                )
-            self._edge_shocked[i, j] = True
+            edge = f"edge {source!r} -> {target!r}"
+            if not self._edge_shocked[i, j] and (self._node_shocked[i] or self._node_shocked[j]):
+                raise ShockStateError(f"{edge} is inactive via a shocked endpoint")
+            raise ShockStateError(f"{edge} is already shocked")  # before, or earlier in the batch
+        self._edge_shocked[i, j] = True
         return self
 
     def restore(self, elements: Iterable[str | EdgePair]) -> "TradeNetwork":
-        """Reactivate elements, in order, at their original baseline weights.
+        """Reactivate elements at their original baseline weights.
 
         Restoring a node brings an incident edge back only once its other
-        endpoint is active too (and the edge itself was not shocked).
+        endpoint is active too (and the edge itself was not shocked). Checked
+        as a batch, like :meth:`shock_nodes`: the first element that is
+        unknown, active or repeated raises and no mask changes.
         """
-        for element in elements:
+        elements = list(elements)
+        is_node = np.array([isinstance(e, str) for e in elements], dtype=bool)
+        nodes = self._lookup([e for e in elements if isinstance(e, str)])
+        i, j = self._lookup_pairs([e for e in elements if not isinstance(e, str)])
+        bad = np.empty(len(elements), dtype=bool)
+        bad[is_node] = (nodes < 0) | ~self._node_shocked[nodes] | _repeats(nodes)
+        edges_bad = (np.minimum(i, j) < 0) | ~self._edge_shocked[i, j]
+        bad[~is_node] = edges_bad | _repeats(i * self.n_nodes + j)
+        if bad.any():
+            element = elements[bad.argmax()]
             if isinstance(element, str):
-                i = self.index_of(element)
-                if not self._node_shocked[i]:
-                    raise ShockStateError(f"node {element!r} is already active")
-                self._node_shocked[i] = False
-            else:
-                source, target = element
-                i, j = self.index_of(source), self.index_of(target)
-                if not self._edge_shocked[i, j]:
-                    raise ShockStateError(f"edge {source!r} -> {target!r} was not shocked")
-                self._edge_shocked[i, j] = False
+                self.index_of(element)  # raises for an unknown code
+                raise ShockStateError(f"node {element!r} is already active")
+            source, target = element
+            self.index_of(source), self.index_of(target)
+            raise ShockStateError(f"edge {source!r} -> {target!r} was not shocked")
+        self._node_shocked[nodes] = False
+        self._edge_shocked[i, j] = False
         return self
 
     # -- summaries -----------------------------------------------------------
@@ -215,6 +263,23 @@ class TradeNetwork:
             f"TradeNetwork(year={self.year}, nodes={self.n_active_nodes}/{self.n_nodes}, "
             f"edges={self.n_active_edges}/{self.n_edges})"
         )
+
+
+def _in_year(year: int | None) -> str:
+    return "" if year is None else f" in {year}"
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """True at every key that occurs earlier in ``keys``.
+
+    The callers' keys of an unknown code (index -1) may equal a real key;
+    such an element is flagged bad anyway, so the first bad one is the same.
+    """
+    repeats = np.zeros(keys.size, dtype=bool)
+    if len(set(keys.tolist())) < keys.size:
+        repeats[:] = True
+        repeats[np.unique(keys, return_index=True)[1]] = False
+    return repeats
 
 
 def build_network(
@@ -247,5 +312,10 @@ def build_network(
     index = {c: i for i, c in enumerate(ordered)}
     weights = np.zeros((len(ordered), len(ordered)))
     for (source, target), values in flows.items():
-        weights[index[source], index[target]] = math.fsum(values)
+        try:
+            weights[index[source], index[target]] = math.fsum(values)
+        except OverflowError:
+            raise ValueError(
+                f"{source} -> {target}{_in_year(year)}: the sum of {len(values)} records overflows"
+            ) from None
     return TradeNetwork(ordered, weights, year=year)

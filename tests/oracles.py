@@ -10,7 +10,8 @@ simple paths is exactly the value a correct shortest-path routine returns.
 The last section keeps former implementations of the package, word for
 word: the heap-based Brandes betweenness, the dict-based Louvain local-move
 sweep, the scenario loop that recomputed efficiency in full after every
-batch, and the rankings that ordered items by a Python ``sorted`` key. Their
+batch, the rankings that ordered items by a Python ``sorted`` key, and the
+mask updates that checked and flipped one element at a time. Their
 replacements must equal them bit for bit. The scenario loop ranks through
 the former sorted-key orderings, so every comparison with it checks the
 schedule's order too.
@@ -32,6 +33,7 @@ from tradeshock import (
     Phase,
     RecoveryOrder,
     ScenarioConfig,
+    ShockStateError,
     TargetKind,
     TradeNetwork,
     Trajectory,
@@ -432,3 +434,46 @@ def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Traject
         work.restore(chunk)
         record(Phase.recovery, chunk)
     return Trajectory(tuple(ne), t_r, tuple(batches), reference)
+
+
+def sequential_shock_nodes(net: TradeNetwork, targets) -> TradeNetwork:
+    """Mask the given nodes; all incident edges go inactive with them."""
+    for code in targets:
+        i = net.index_of(code)
+        if net._node_shocked[i]:
+            raise ShockStateError(f"node {code!r} is already shocked")
+        net._node_shocked[i] = True
+    return net
+
+
+def sequential_shock_edges(net: TradeNetwork, targets) -> TradeNetwork:
+    """Mask the given edges only; endpoints stay active even if isolated."""
+    for source, target in targets:
+        i, j = net.index_of(source), net.index_of(target)
+        if not net._has_edge[i, j]:
+            raise ValueError(f"no such trade relationship {source!r} -> {target!r}")
+        if net._edge_shocked[i, j]:
+            raise ShockStateError(f"edge {source!r} -> {target!r} is already shocked")
+        if net._node_shocked[i] or net._node_shocked[j]:
+            raise ShockStateError(
+                f"edge {source!r} -> {target!r} is inactive via a shocked endpoint"
+            )
+        net._edge_shocked[i, j] = True
+    return net
+
+
+def sequential_restore(net: TradeNetwork, elements) -> TradeNetwork:
+    """Reactivate elements, in order, at their original baseline weights."""
+    for element in elements:
+        if isinstance(element, str):
+            i = net.index_of(element)
+            if not net._node_shocked[i]:
+                raise ShockStateError(f"node {element!r} is already active")
+            net._node_shocked[i] = False
+        else:
+            source, target = element
+            i, j = net.index_of(source), net.index_of(target)
+            if not net._edge_shocked[i, j]:
+                raise ShockStateError(f"edge {source!r} -> {target!r} was not shocked")
+            net._edge_shocked[i, j] = False
+    return net

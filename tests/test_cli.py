@@ -522,6 +522,34 @@ def test_file_without_records_of_the_flow_exits_one(tmp_path, capsys, monkeypatc
     assert not Path("out").exists()
 
 
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning would be a second line on stderr
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            ["2020,USA,CAN,import,1e308", "2020,USA,CAN,import,1e308"],
+            "CAN -> USA in 2020: the sum of 2 records overflows",
+        ),
+        (
+            ["2020,USA,CAN,import,1.5e308", "2020,CAN,USA,import,1.5e308"],
+            "the total trade volume in 2020 overflows",
+        ),
+        (
+            ["2020,USA,CAN,import,1e-320", "2020,CAN,USA,import,3"],
+            "CAN -> USA in 2020: weight 1e-320 is too small, its length 1/w overflows",
+        ),
+    ],
+    ids=["pair_sum", "total_volume", "length"],
+)
+def test_weights_that_overflow_float64_exit_one(tmp_path, capsys, rows, message):
+    data = tmp_path / "trade.csv"
+    data.write_text("\n".join(["year,reporter,partner,flow,value_usd", *rows, ""]), encoding="utf-8")
+    assert main(["efficiency", "-i", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_ingest_summary_explains_a_file_without_records(tmp_path, capsys):
     data = tmp_path / "trade.csv"
     data.write_text(

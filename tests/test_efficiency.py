@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from tradeshock import efficiency
 from tradeshock import (
@@ -314,6 +315,48 @@ def test_remove_of_an_edge_tight_in_no_row_changes_nothing():
     assert_engine_exact(engine, ("A", "B"))
     assert DistanceEngine(net.fork(), intact.copy()).remove([("A", "C")]) is True
     assert dict(rank_by_impact(net, "edges", 3))[("A", "B")] == 0.0
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_engine_graph_arrays_equal_scipy_csr_and_csc(make):
+    # After each batch of random removals, the engine's out-edges are scipy's
+    # CSR of the active length graph, and its in-edges that CSR's CSC.
+    net = make()
+    rng = np.random.default_rng(9)
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    while net.n_active_edges:
+        edges = [(e.source, e.target) for e in net.active_edges()]
+        nodes = [c for c in net.codes if net.is_node_active(c)]
+        batch = [edges[k] for k in rng.choice(len(edges), min(3, len(edges)), replace=False)]
+        batch.append(nodes[rng.integers(len(nodes))])  # after the edges: none behind it
+        engine.remove(batch)
+        mask = net.active_edge_mask
+        lengths = np.zeros(mask.shape)
+        lengths[mask] = 1.0 / net.baseline_weights[mask]
+        out = csr_matrix(lengths)
+        into = out.tocsc()
+        into.sort_indices()
+        for got, want in ((engine._out_edges(mask), out), (engine._in_edges(mask), into)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+
+def test_engine_builds_no_scipy_sparse_object(monkeypatch):
+    net = two_cliques_bridge()
+    engine = DistanceEngine(net, shortest_path_costs(net))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine built a scipy sparse matrix")
+
+    monkeypatch.setattr(efficiency, "csr_matrix", refuse)
+    for batch in ([("E003", "E004")], ["E002"], [("E000", "E001"), "E005"]):
+        assert engine.remove(batch) is True  # every batch changes some distance
+        costs = engine.costs.copy()
+        engine.restore(batch)
+        assert not np.array_equal(engine.costs, costs)
+    monkeypatch.undo()
+    assert_engine_exact(engine, "restored")
 
 
 def test_impact_runs_one_all_pairs_dijkstra(monkeypatch):

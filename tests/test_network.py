@@ -4,6 +4,7 @@ import pytest
 from tradeshock import ShockStateError, TradeNetwork, build_network
 
 from netgen import codes_for, random_network
+from oracles import sequential_restore, sequential_shock_edges, sequential_shock_nodes
 
 
 def small_net():
@@ -95,6 +96,86 @@ def test_edge_shock_under_masked_endpoint_rejected():
     net.shock_nodes(["USA"])
     with pytest.raises(ShockStateError):
         net.shock_edges([("CHN", "USA")])
+
+
+def masks(net: TradeNetwork) -> tuple[np.ndarray, np.ndarray]:
+    return net._node_shocked.copy(), net._edge_shocked.copy()
+
+
+def outcome(update, net: TradeNetwork, batch: list):
+    """The error ``update`` raises on ``batch`` (type and message), or None."""
+    try:
+        update(net, batch)
+    except (ValueError, ShockStateError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+BATCH_UPDATES = [
+    (TradeNetwork.shock_nodes, sequential_shock_nodes, "nodes"),
+    (TradeNetwork.shock_edges, sequential_shock_edges, "edges"),
+    (TradeNetwork.restore, sequential_restore, "both"),
+]
+
+
+@pytest.mark.parametrize(
+    "update, sequential, kinds", BATCH_UPDATES, ids=["shock_nodes", "shock_edges", "restore"]
+)
+def test_batch_updates_equal_the_one_at_a_time_loop(update, sequential, kinds):
+    # Random batches of good and bad elements, repeats included, on random
+    # shocked states: the same error for the first bad element in batch
+    # order, or the same masks. A rejected batch changes no mask, where the
+    # loop had already flipped the elements before the bad one.
+    rng = np.random.default_rng(17)
+    net = random_network(rng, 7, 0.4)
+    codes = [*net.codes, "ZZZ"]
+    edges = [(e.source, e.target) for e in net.active_edges()]
+    pairs = edges + [("E000", "E000"), ("E001", "ZZZ"), ("ZZZ", "E002")]  # no edge, unknown
+    errors = 0
+    for _ in range(400):
+        work = net.fork()
+        work._node_shocked[:] = rng.random(net.n_nodes) < 0.3
+        work._edge_shocked[:] = (rng.random(net.baseline_weights.shape) < 0.3) & (
+            net.baseline_weights > 0
+        )
+        elements = {"nodes": codes, "edges": pairs, "both": codes + pairs}[kinds]
+        batch = [elements[k] for k in rng.integers(0, len(elements), int(rng.integers(0, 5)))]
+        before = masks(work)
+        reference = work.fork()
+        expected = outcome(sequential, reference, batch)
+        assert outcome(update, work, batch) == expected, batch
+        if expected is None:
+            assert all(map(np.array_equal, masks(work), masks(reference))), batch
+        else:
+            errors += 1
+            assert all(map(np.array_equal, masks(work), before)), batch
+    assert 100 < errors < 350  # both outcomes are exercised
+
+
+def test_rejected_batch_leaves_the_masks_untouched():
+    net = small_net().shock_nodes(["JPN"])
+    before = masks(net)
+    for update, batch, error in [
+        (net.shock_nodes, ["CHN", "DEU", "CHN"], "node 'CHN' is already shocked"),
+        (net.shock_nodes, ["CHN", "JPN", "ZZZ"], "node 'JPN' is already shocked"),
+        (net.shock_nodes, ["CHN", "ZZZ", "JPN"], "unknown economy 'ZZZ'"),
+        (
+            net.shock_edges,
+            [("CHN", "USA"), ("USA", "CHN"), ("CHN", "USA")],
+            "edge 'CHN' -> 'USA' is already shocked",
+        ),
+        (
+            net.shock_edges,
+            [("CHN", "USA"), ("USA", "JPN")],
+            "edge 'USA' -> 'JPN' is inactive via a shocked endpoint",
+        ),
+        (net.restore, [("USA", "CHN"), "JPN", "JPN"], "edge 'USA' -> 'CHN' was not shocked"),
+        (net.restore, ["JPN", "JPN"], "node 'JPN' is already active"),
+    ]:
+        with pytest.raises((ValueError, ShockStateError)) as caught:
+            update(batch)
+        assert str(caught.value) == error
+        assert all(map(np.array_equal, masks(net), before))
 
 
 def test_restore_roundtrip_is_bit_exact():
@@ -191,6 +272,24 @@ def test_weights_must_be_square_and_nonnegative():
     bad[0, 1] = -1.0
     with pytest.raises(ValueError):
         TradeNetwork(("A", "B"), bad)
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([("A", "B", 1e308), ("A", "B", 1e308)], "A -> B in 2020: the sum of 2 records overflows"),
+        ([("A", "B", 1.5e308), ("B", "A", 1.5e308)], "the total trade volume in 2020 overflows"),
+        (
+            [("A", "B", 3.0), ("B", "A", 1e-320)],
+            "B -> A in 2020: weight 1e-320 is too small, its length 1/w overflows",
+        ),
+    ],
+    ids=["pair_sum", "total_volume", "length"],
+)
+def test_weights_that_overflow_float64_are_rejected(records, message):
+    with pytest.raises(ValueError) as caught:
+        build_network(records, year=2020)
+    assert str(caught.value) == message
 
 
 def test_duplicate_codes_rejected():
