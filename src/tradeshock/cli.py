@@ -152,10 +152,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
     networks, years = _load_years(args.input, args.flow, args.years)
+    results = [(year, network_efficiency(networks[year])) for year in years]  # fail before output
     writer = csv.writer(sys.stdout)
     writer.writerow(("year", "raw_efficiency", "mean_edge_weight", "normalized_efficiency"))
-    for year in years:
-        result = network_efficiency(networks[year])
+    for year, result in results:
         writer.writerow(
             (
                 year,

@@ -19,6 +19,7 @@ structural damage, not renormalization drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .network import TradeNetwork
+from .network import TradeNetwork, _in_year
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,6 @@ class _Graph(NamedTuple):
     indptr: np.ndarray
 
 
-def _edge_lengths(weights: np.ndarray) -> np.ndarray:
-    """The length ``1/w`` of every entry of a weight matrix; ``inf`` where there is no edge."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / weights
-
-
 def _length_graph(mask: np.ndarray, lengths: np.ndarray) -> _Graph:
     """The edges set in ``mask`` as compressed rows, with their ``lengths``.
 
@@ -74,7 +69,7 @@ def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
     Returns the full matrix when ``sources`` is None, otherwise the rows
     for the given source indices. Unreachable pairs are ``inf``.
     """
-    lengths = _edge_lengths(net.baseline_weights)
+    lengths = net.baseline_lengths
     graph = csr_matrix(_length_graph(net.active_edge_mask, lengths), shape=lengths.shape)
     if sources is None:
         return dijkstra(graph, directed=True)
@@ -92,10 +87,19 @@ def _pair_efficiencies(costs: np.ndarray) -> np.ndarray:
     return pair_eff
 
 
-def _raw_efficiency(costs: np.ndarray) -> float:
-    """Raw efficiency: the pair efficiencies of an ``N x N`` cost matrix over N(N-1) pairs."""
+def _raw_efficiency(costs: np.ndarray, year: int | None) -> float:
+    """Raw efficiency: the pair efficiencies of an ``N x N`` cost matrix over N(N-1) pairs.
+
+    Raises ValueError, naming ``year``, when their sum overflows float64: a
+    pair efficiency is at most the total volume, so N(N-1) of them can
+    overflow where the total does not.
+    """
     n = costs.shape[0]
-    return float(_pair_efficiencies(costs).sum()) / (n * (n - 1))
+    with np.errstate(over="ignore"):
+        total = float(_pair_efficiencies(costs).sum())
+    if math.isinf(total):
+        raise ValueError(f"the sum of pair efficiencies{_in_year(year)} overflows")
+    return total / (n * (n - 1))
 
 
 def path_efficiency(net: TradeNetwork, source: str, target: str) -> float:
@@ -116,7 +120,7 @@ def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
     n = net.n_nodes
     if n < 2:
         return EfficiencyResult(0.0, 0.0, 0.0, degenerate=True)
-    raw = _raw_efficiency(shortest_path_costs(net))
+    raw = _raw_efficiency(shortest_path_costs(net), net.year)
     reference = net.stats().mean_edge_weight
     normalized = raw / reference if reference > 0 else 0.0
     return EfficiencyResult(raw, normalized, reference)
@@ -130,10 +134,10 @@ class DistanceEngine:
     the masks of ``net`` and update ``costs`` in place, bit-identical to
     :func:`shortest_path_costs` of the changed network.
 
-    The engine owns a fixed length graph: the lengths ``1/w`` of every
-    baseline edge, taken once at construction (the baseline weights never
-    change). Each call reads the active edge mask before and after its
-    change and takes the active out-edges and in-edges from it as plain
+    The engine owns a fixed length graph: the network's frozen
+    :attr:`~tradeshock.network.TradeNetwork.baseline_lengths`, and their
+    transpose for the in-edges, taken once at construction. Each call
+    reads the active edge mask before and after its change and takes the active out-edges and in-edges from it as plain
     compressed-row arrays; it keeps no mask state between calls. So between
     calls the masks may change only through :meth:`restore` and
     :meth:`remove`, or by a caller that puts back both the masks and the
@@ -172,13 +176,13 @@ class DistanceEngine:
             raise ValueError(f"a distance engine needs at least 2 nodes, got {net.n_nodes}")
         self.net = net
         self.costs = costs
-        self._lengths = _edge_lengths(net.baseline_weights)
+        self._lengths = net.baseline_lengths
         self._lengths_in = np.ascontiguousarray(self._lengths.T)  # [v, u]: length of u -> v
 
     @property
     def raw_efficiency(self) -> float:
         """Raw efficiency of ``net``, summed exactly as :func:`network_efficiency` sums it."""
-        return _raw_efficiency(self.costs)
+        return _raw_efficiency(self.costs, self.net.year)
 
     def _out_edges(self, mask: np.ndarray) -> _Graph:
         return _length_graph(mask, self._lengths)

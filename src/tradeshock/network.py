@@ -72,8 +72,9 @@ class TradeNetwork:
             raise ValueError("weights must be finite and nonnegative")
         has_edge = w > 0
         with np.errstate(divide="ignore", over="ignore"):
-            too_light = has_edge & np.isinf(1.0 / w)
+            lengths = 1.0 / w  # inf where there is no edge
             total = w[has_edge].sum()
+        too_light = has_edge & np.isinf(lengths)
         if too_light.any():
             i, j = np.argwhere(too_light)[0]
             raise ValueError(
@@ -86,6 +87,8 @@ class TradeNetwork:
         self._weights = w
         self._has_edge = has_edge
         self._has_edge.setflags(write=False)
+        lengths.setflags(write=False)
+        self._lengths = lengths
         self.year = year
         self._node_shocked = np.zeros(n, dtype=bool)
         self._edge_shocked = np.zeros((n, n), dtype=bool)
@@ -121,6 +124,11 @@ class TradeNetwork:
     def baseline_weights(self) -> np.ndarray:
         """Frozen ``N x N`` baseline weight matrix (read-only view)."""
         return self._weights
+
+    @property
+    def baseline_lengths(self) -> np.ndarray:
+        """Frozen ``N x N`` edge lengths ``1/w``, ``inf`` where there is no edge (read-only)."""
+        return self._lengths
 
     # -- mask state --------------------------------------------------------
 
@@ -168,54 +176,42 @@ class TradeNetwork:
 
     # -- shock / restore ----------------------------------------------------
 
-    def _lookup(self, codes: Iterable[str]) -> np.ndarray:
-        """The indices of ``codes``; -1 for a code the network does not know."""
-        index = self._index
-        return np.array([index.get(code, -1) for code in codes], dtype=np.intp)
-
-    def _lookup_pairs(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
-        ends = self._lookup([code for source, target in pairs for code in (source, target)])
-        return ends[0::2], ends[1::2]
-
     def shock_nodes(self, targets: Iterable[str]) -> "TradeNetwork":
         """Mask the given nodes; all incident edges go inactive with them.
 
-        The batch is checked before anything changes: an unknown, already
-        shocked or repeated node raises for the first such node in batch
-        order, and the masks stay as they were.
+        The whole batch is checked before any mask changes: the first node
+        that is unknown, already shocked or repeated raises, and a rejected
+        batch leaves the masks as they were.
         """
-        codes = list(targets)
-        nodes = self._lookup(codes)
-        bad = (nodes < 0) | self._node_shocked[nodes] | _repeats(nodes)
-        if bad.any():
-            code = codes[bad.argmax()]
-            self.index_of(code)  # raises for an unknown code
-            raise ShockStateError(f"node {code!r} is already shocked")
-        self._node_shocked[nodes] = True
+        nodes: set[int] = set()
+        for code in targets:
+            i = self.index_of(code)
+            if self._node_shocked[i] or i in nodes:
+                raise ShockStateError(f"node {code!r} is already shocked")
+            nodes.add(i)
+        for i in nodes:
+            self._node_shocked[i] = True
         return self
 
     def shock_edges(self, targets: Iterable[EdgePair]) -> "TradeNetwork":
         """Mask the given edges only; endpoints stay active even if isolated.
 
-        Checked as a batch, like :meth:`shock_nodes`: the first bad edge
-        (unknown, already shocked, repeated, or behind a shocked endpoint)
-        raises and no mask changes.
+        Checked as a batch, like :meth:`shock_nodes`.
         """
-        pairs = list(targets)
-        i, j = self._lookup_pairs(pairs)
-        bad = (np.minimum(i, j) < 0) | (self._has_edge[i, j] <= self._edge_shocked[i, j])
-        bad |= self._node_shocked[i] | self._node_shocked[j]
-        bad |= _repeats(i * self.n_nodes + j)
-        if bad.any():
-            source, target = pairs[bad.argmax()]
-            i, j = self.index_of(source), self.index_of(target)  # raise for an unknown code
+        edges: set[tuple[int, int]] = set()
+        for source, target in targets:
+            i, j = self.index_of(source), self.index_of(target)
             if not self._has_edge[i, j]:
                 raise ValueError(f"no such trade relationship {source!r} -> {target!r}")
-            edge = f"edge {source!r} -> {target!r}"
-            if not self._edge_shocked[i, j] and (self._node_shocked[i] or self._node_shocked[j]):
-                raise ShockStateError(f"{edge} is inactive via a shocked endpoint")
-            raise ShockStateError(f"{edge} is already shocked")  # before, or earlier in the batch
-        self._edge_shocked[i, j] = True
+            if self._edge_shocked[i, j] or (i, j) in edges:
+                raise ShockStateError(f"edge {source!r} -> {target!r} is already shocked")
+            if self._node_shocked[i] or self._node_shocked[j]:
+                raise ShockStateError(
+                    f"edge {source!r} -> {target!r} is inactive via a shocked endpoint"
+                )
+            edges.add((i, j))
+        for i, j in edges:
+            self._edge_shocked[i, j] = True
         return self
 
     def restore(self, elements: Iterable[str | EdgePair]) -> "TradeNetwork":
@@ -223,27 +219,26 @@ class TradeNetwork:
 
         Restoring a node brings an incident edge back only once its other
         endpoint is active too (and the edge itself was not shocked). Checked
-        as a batch, like :meth:`shock_nodes`: the first element that is
-        unknown, active or repeated raises and no mask changes.
+        as a batch, like :meth:`shock_nodes`.
         """
-        elements = list(elements)
-        is_node = np.array([isinstance(e, str) for e in elements], dtype=bool)
-        nodes = self._lookup([e for e in elements if isinstance(e, str)])
-        i, j = self._lookup_pairs([e for e in elements if not isinstance(e, str)])
-        bad = np.empty(len(elements), dtype=bool)
-        bad[is_node] = (nodes < 0) | ~self._node_shocked[nodes] | _repeats(nodes)
-        edges_bad = (np.minimum(i, j) < 0) | ~self._edge_shocked[i, j]
-        bad[~is_node] = edges_bad | _repeats(i * self.n_nodes + j)
-        if bad.any():
-            element = elements[bad.argmax()]
+        nodes: set[int] = set()
+        edges: set[tuple[int, int]] = set()
+        for element in elements:
             if isinstance(element, str):
-                self.index_of(element)  # raises for an unknown code
-                raise ShockStateError(f"node {element!r} is already active")
-            source, target = element
-            self.index_of(source), self.index_of(target)
-            raise ShockStateError(f"edge {source!r} -> {target!r} was not shocked")
-        self._node_shocked[nodes] = False
-        self._edge_shocked[i, j] = False
+                i = self.index_of(element)
+                if not self._node_shocked[i] or i in nodes:
+                    raise ShockStateError(f"node {element!r} is already active")
+                nodes.add(i)
+            else:
+                source, target = element
+                i, j = self.index_of(source), self.index_of(target)
+                if not self._edge_shocked[i, j] or (i, j) in edges:
+                    raise ShockStateError(f"edge {source!r} -> {target!r} was not shocked")
+                edges.add((i, j))
+        for i in nodes:
+            self._node_shocked[i] = False
+        for i, j in edges:
+            self._edge_shocked[i, j] = False
         return self
 
     # -- summaries -----------------------------------------------------------
@@ -267,19 +262,6 @@ class TradeNetwork:
 
 def _in_year(year: int | None) -> str:
     return "" if year is None else f" in {year}"
-
-
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """True at every key that occurs earlier in ``keys``.
-
-    The callers' keys of an unknown code (index -1) may equal a real key;
-    such an element is flagged bad anyway, so the first bad one is the same.
-    """
-    repeats = np.zeros(keys.size, dtype=bool)
-    if len(set(keys.tolist())) < keys.size:
-        repeats[:] = True
-        repeats[np.unique(keys, return_index=True)[1]] = False
-    return repeats
 
 
 def build_network(

@@ -538,13 +538,19 @@ def test_file_without_records_of_the_flow_exits_one(tmp_path, capsys, monkeypatc
             ["2020,USA,CAN,import,1e-320", "2020,CAN,USA,import,3"],
             "CAN -> USA in 2020: weight 1e-320 is too small, its length 1/w overflows",
         ),
+        (
+            # B -> A and C -> B: total 1.6e308, but C reaches A at efficiency 4e307 too
+            ["2020,A,B,import,8e307", "2020,B,C,import,8e307"],
+            "the sum of pair efficiencies in 2020 overflows",
+        ),
     ],
-    ids=["pair_sum", "total_volume", "length"],
+    ids=["pair_sum", "total_volume", "length", "pair_efficiencies"],
 )
-def test_weights_that_overflow_float64_exit_one(tmp_path, capsys, rows, message):
+@pytest.mark.parametrize("command", ["efficiency", "impact"])
+def test_weights_that_overflow_float64_exit_one(tmp_path, capsys, rows, message, command):
     data = tmp_path / "trade.csv"
     data.write_text("\n".join(["year,reporter,partner,flow,value_usd", *rows, ""]), encoding="utf-8")
-    assert main(["efficiency", "-i", str(data)]) == 1
+    assert main([command, "-i", str(data)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""

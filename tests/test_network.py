@@ -237,6 +237,14 @@ def test_fork_copies_every_attribute_and_shares_no_mask():
     assert np.array_equal(child.active_edge_mask, net.active_edge_mask)
 
 
+def test_baseline_lengths_are_frozen_reciprocals_shared_by_forks():
+    net = small_net()
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(net.baseline_lengths, 1.0 / net.baseline_weights)
+    assert not net.baseline_lengths.flags.writeable
+    assert net.fork().baseline_lengths is net.baseline_lengths
+
+
 def test_stats_hand_values():
     net = build_network([("A", "B", 10.0), ("B", "C", 30.0)])
     s = net.stats()
