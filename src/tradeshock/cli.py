@@ -216,14 +216,19 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _run_one(
-    run_id: str, year: int, net: TradeNetwork, config: ScenarioConfig, out_dir: Path
+    run_id: str,
+    year: int,
+    net: TradeNetwork,
+    config: ScenarioConfig,
+    baseline: float,
+    out_dir: Path,
 ) -> dict:
     if config.indicator is IndicatorKind.random:
-        control = run_random_control(net, config)
+        control = run_random_control(net, config, baseline)
         trajectory = control.mean
         spread: Sequence[float] | None = control.std
     else:
-        trajectory = run_shock_recovery(net, config)
+        trajectory = run_shock_recovery(net, config, baseline)
         spread = None
 
     rows = [",".join(_TRAJECTORY_HEADER)]
@@ -343,9 +348,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
     results: list[dict] = []
     failures: list[tuple[str, str]] = []
+    baselines: dict[int, float] = {}  # raw efficiency of each intact year, shared by its runs
     for run_id, year, config in tasks:
         try:
-            results.append(_run_one(run_id, year, networks[year], config, out_dir))
+            if year not in baselines:
+                baselines[year] = network_efficiency(networks[year]).raw_efficiency
+            results.append(_run_one(run_id, year, networks[year], config, baselines[year], out_dir))
         except Exception as exc:  # noqa: BLE001 - reported per scenario; the others still run
             failures.append((run_id, str(exc)))
 

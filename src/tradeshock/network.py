@@ -117,9 +117,6 @@ class TradeNetwork:
     def code_of(self, index: int) -> str:
         return self._codes[index]
 
-    def has_node(self, code: str) -> bool:
-        return code in self._index
-
     @property
     def baseline_weights(self) -> np.ndarray:
         """Frozen ``N x N`` baseline weight matrix (read-only view)."""
@@ -150,12 +147,6 @@ class TradeNetwork:
     @property
     def n_active_edges(self) -> int:
         return int(self.active_edge_mask.sum())
-
-    def is_node_active(self, code: str) -> bool:
-        return not self._node_shocked[self.index_of(code)]
-
-    def is_edge_active(self, source: str, target: str) -> bool:
-        return bool(self.active_edge_mask[self.index_of(source), self.index_of(target)])
 
     def active_weights(self) -> np.ndarray:
         """Weight matrix with every inactive entry zeroed (fresh copy)."""

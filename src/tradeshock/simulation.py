@@ -9,18 +9,22 @@ position: ``ne[0]`` is the baseline, ``ne[1:t_r + 1]`` the shock phase down
 to the maximum shock at ``t_r``, and ``ne[t_r + 1:]`` the recovery phase;
 ``batches[t - 1]`` holds the elements shocked or restored at step ``t``.
 
-A run has two passes. The schedule pass walks the shock phase forward and
-fixes the batches, ranking each state when rankings are recomputed; it
-computes no efficiency. The evaluate pass runs one all-pairs Dijkstra at
-the deepest state and reaches every other point by restoring batches, which
-only inserts edges: the shock points by restoring the batches in reverse,
-the recovery points by restoring them in recovery order. A
+The schedule walks the shock phase forward and fixes the batches, ranking
+each state when rankings are recomputed; it computes no efficiency. Then
+one all-pairs Dijkstra at the deepest state gives every other point by
+restoring shocked elements, which only inserts edges. A
 :class:`~tradeshock.efficiency.DistanceEngine` applies each insertion
-exactly, so every point equals a full recompute bit for bit. Restoring
-every shocked element reproduces the starting masks exactly, so the final
-trajectory value equals the baseline value bit for bit. The backward pass
-ends on the baseline as well; a run whose backward pass misses the baseline
-value raises instead of returning a trajectory.
+exactly, so every point equals a full recompute bit for bit. Shock step
+``t`` is the deepest state plus the last elements shocked, so restoring
+them in reverse walks the shock phase backward. Under
+``reverse_shock_order`` the recovery states lie on that same walk, and one
+restore pass reads both phases, cutting wherever a shock or a recovery
+batch ends. ``shock_order`` recovery restores the elements in another
+order and takes a second pass from the deepest state. Every pass ends on
+the starting masks, so on the baseline value bit for bit; a run whose pass
+misses it raises instead of returning a trajectory. The baseline is one
+full evaluation, which a caller computes once per year and passes to every
+run and replicate of that year.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
@@ -227,40 +232,61 @@ def plan_scenario(net: TradeNetwork, config: ScenarioConfig) -> tuple[float, int
     return reference, math.ceil(config.batch_fraction * n_targets), math.ceil(depth)
 
 
-def run_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:
-    """Execute one full shock-then-recovery scenario and return its trajectory."""
+def _restore_through(
+    engine: DistanceEngine, elements: Sequence, cuts: Iterable[int]
+) -> dict[int, float]:
+    """Restore ``elements`` in order; the raw efficiency after each prefix length in ``cuts``."""
+    raw, done = {}, 0
+    for cut in sorted(set(cuts)):
+        if cut > done:
+            engine.restore(elements[done:cut])
+            done = cut
+        raw[cut] = engine.raw_efficiency
+    return raw
+
+
+def run_shock_recovery(
+    net: TradeNetwork, config: ScenarioConfig, baseline: float | None = None
+) -> Trajectory:
+    """Execute one full shock-then-recovery scenario and return its trajectory.
+
+    ``baseline`` is the raw efficiency of ``net`` as given, when the caller
+    already has it; by default it is computed here by a full evaluation.
+    """
     work = net.fork()
     reference, batch, total = plan_scenario(work, config)
-
-    # The baseline by a full evaluation: the check below compares against it.
-    baseline = network_efficiency(work).raw_efficiency
+    if baseline is None:
+        baseline = network_efficiency(work).raw_efficiency
     chunks = _schedule(work, config, batch, total)
 
     # Every later point is the deepest state plus restored elements: one APSP
-    # there, then edge insertions only. Restoring the batches in reverse
-    # walks the shock phase backward to the baseline.
+    # there, then edge insertions only. Shock step t is the deepest state
+    # plus backward[:total - depth_t], the last elements shocked.
+    backward = [element for chunk in reversed(chunks) for element in reversed(chunk)]
+    shock_cuts = [total - depth for depth in accumulate(map(len, chunks))]
+    reverse = config.recovery_order is RecoveryOrder.reverse_shock_order
+    recovered = backward if reverse else backward[::-1]
+    restored = list(_chunked(recovered, batch))
+    recovery_cuts = list(accumulate(map(len, restored)))
     deepest = shortest_path_costs(work)
-    backward = DistanceEngine(work.fork(), deepest.copy())
-    shock_raw = []
-    for chunk in reversed(chunks):
-        shock_raw.append(backward.raw_efficiency)
-        backward.restore(chunk)
-    if backward.raw_efficiency != baseline:
-        raise RuntimeError(
-            f"restoring every batch gave raw efficiency {backward.raw_efficiency!r}, "
-            f"not the baseline {baseline!r}"
-        )
-    ne = [baseline / reference] + [raw / reference for raw in reversed(shock_raw)]
-
-    shocked = [element for chunk in chunks for element in chunk]
-    if config.recovery_order is RecoveryOrder.reverse_shock_order:
-        shocked.reverse()
-    restored = list(_chunked(shocked, batch))
-    forward = DistanceEngine(work, deepest)
-    for chunk in restored:
-        forward.restore(chunk)
-        ne.append(forward.raw_efficiency / reference)
-    return Trajectory(tuple(ne), len(chunks), tuple(chunks + restored), reference)
+    if reverse:
+        # Recovery restores the same elements in the same order: one pass
+        # reads both phases at the union of their cuts.
+        engine = DistanceEngine(work, deepest)
+        shock_raw = recovery_raw = _restore_through(engine, backward, shock_cuts + recovery_cuts)
+    else:
+        engine = DistanceEngine(work.fork(), deepest.copy())
+        shock_raw = _restore_through(engine, backward, shock_cuts + [total])
+        recovery_raw = _restore_through(DistanceEngine(work, deepest), recovered, recovery_cuts)
+    for walk in (shock_raw, recovery_raw):
+        if walk[total] != baseline:
+            raise RuntimeError(
+                f"restoring every batch gave raw efficiency {walk[total]!r}, "
+                f"not the baseline {baseline!r}"
+            )
+    raw = [baseline] + [shock_raw[c] for c in shock_cuts] + [recovery_raw[c] for c in recovery_cuts]
+    ne = tuple(x / reference for x in raw)
+    return Trajectory(ne, len(chunks), tuple(chunks + restored), reference)
 
 
 @dataclass(frozen=True)
@@ -272,15 +298,20 @@ class RandomControl:
     replicates: tuple[Trajectory, ...]
 
 
-def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomControl:
+def run_random_control(
+    net: TradeNetwork, config: ScenarioConfig, baseline: float | None = None
+) -> RandomControl:
     """Average a random-targeting scenario over independent replicates.
 
     Each replicate runs the same protocol with its own child seed derived
-    from (master_seed, replicate index). The std is the population spread
-    at each step; it is exactly zero at the baseline step.
+    from (master_seed, replicate index), and all of them share one baseline
+    evaluation, ``baseline`` when the caller passes it. The std is the
+    population spread at each step; it is exactly zero at the baseline step.
     """
     if config.replicates < 2:
         raise ValueError(f"a random control needs >= 2 replicates, got {config.replicates}")
+    if baseline is None:
+        baseline = network_efficiency(net).raw_efficiency
     runs = []
     for r in range(config.replicates):
         cfg = replace(
@@ -289,7 +320,7 @@ def run_random_control(net: TradeNetwork, config: ScenarioConfig) -> RandomContr
             master_seed=child_seed(config.master_seed, r),
             replicates=1,
         )
-        runs.append(run_shock_recovery(net, cfg))
+        runs.append(run_shock_recovery(net, cfg, baseline))
     ne = np.array([t.ne for t in runs])
     mean = replace(runs[0], ne=tuple(ne.mean(axis=0).tolist()), batches=())
     return RandomControl(mean, tuple(ne.std(axis=0).tolist()), tuple(runs))

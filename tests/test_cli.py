@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tradeshock import cli
+from tradeshock import cli, efficiency
 from tradeshock.cli import main
 
 UNIFORM_YEAR = 2001  # complete uniform 4-node network
@@ -395,14 +395,34 @@ def test_simulate_flags_and_manifest_share_scenario_defaults(tmp_path):
     assert_same_files(flags_out, manifest_out)
 
 
+def test_simulate_evaluates_each_year_baseline_once(tmp_path, monkeypatch):
+    # Three scenarios on one year, five runs with the random control's three
+    # replicates: one shared baseline APSP, then one at each run's deepest state.
+    full_matrices = []
+    dijkstra = efficiency.dijkstra
+
+    def counting(graph, *args, **kwargs):
+        if kwargs.get("indices") is None:
+            full_matrices.append(graph.shape)
+        return dijkstra(graph, *args, **kwargs)
+
+    monkeypatch.setattr(efficiency, "dijkstra", counting)
+    data = write_fixture(tmp_path / "trade.csv")
+    manifest = manifest_for(data, tmp_path / "out", years=str(UNIFORM_YEAR))
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 0
+    assert len(full_matrices) == 1 + 5
+
+
 def test_simulate_partial_failure_exits_two(tmp_path, capsys, monkeypatch):
     # A scenario that fails while it runs is reported; the others still run.
     run = cli.run_shock_recovery
 
-    def failing_on_the_star_year(net, config):
+    def failing_on_the_star_year(net, config, baseline):
         if net.year == STAR_YEAR:
             raise RuntimeError("engine failure")
-        return run(net, config)
+        return run(net, config, baseline)
 
     monkeypatch.setattr(cli, "run_shock_recovery", failing_on_the_star_year)
     data = write_fixture(tmp_path / "trade.csv")

@@ -326,7 +326,7 @@ def test_engine_graph_arrays_equal_scipy_csr_and_csc(make):
     engine = DistanceEngine(net, shortest_path_costs(net))
     while net.n_active_edges:
         edges = [(e.source, e.target) for e in net.active_edges()]
-        nodes = [c for c in net.codes if net.is_node_active(c)]
+        nodes = [net.codes[i] for i in np.flatnonzero(net.active_node_mask)]
         batch = [edges[k] for k in rng.choice(len(edges), min(3, len(edges)), replace=False)]
         batch.append(nodes[rng.integers(len(nodes))])  # after the edges: none behind it
         engine.remove(batch)

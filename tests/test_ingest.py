@@ -126,9 +126,9 @@ def test_import_flow_builds_partner_to_reporter_edges():
     assert sorted(nets) == [2007, 2008]
     net = nets[2007]
     # USA reports importing from CHN -> goods flow CHN -> USA
-    assert net.is_edge_active("CHN", "USA")
+    assert net.active_edge_mask[net.index_of("CHN"), net.index_of("USA")]
     assert net.baseline_weights[net.index_of("CHN"), net.index_of("USA")] == 120.5
-    assert net.is_edge_active("USA", "CHN")
+    assert net.active_edge_mask[net.index_of("USA"), net.index_of("CHN")]
 
 
 def test_export_flow_builds_reporter_to_partner_edges():
@@ -136,7 +136,7 @@ def test_export_flow_builds_reporter_to_partner_edges():
     nets = build_yearly_networks(report.records, flow="export")
     assert sorted(nets) == [2008]
     net = nets[2008]
-    assert net.is_edge_active("DEU", "USA")
+    assert net.active_edge_mask[net.index_of("DEU"), net.index_of("USA")]
 
 
 def test_bad_flow_choice_rejected():

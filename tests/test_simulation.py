@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradeshock import efficiency, simulation
 from tradeshock import (
@@ -342,6 +344,88 @@ def test_random_control_replicates_equal_forward_full_recompute(medium_net):
         assert replicate == oracle
 
 
+def counted_config(net: TradeNetwork, target_kind: str, batch: int, total: int, **kwargs):
+    """A scenario on ``net`` whose batch size and shock total are ``batch`` and ``total``."""
+    n_targets = net.n_nodes if target_kind == "nodes" else net.n_active_edges
+    depth = total / n_targets
+    while depth * n_targets < total:  # the least depth that covers ``total`` targets
+        depth = math.nextafter(depth, 1.0)
+    cfg = ScenarioConfig(
+        target_kind=target_kind,
+        batch_fraction=(batch - 0.5) / n_targets,
+        shock_depth=depth,
+        **kwargs,
+    )
+    assert simulation.plan_scenario(net, cfg)[1:] == (batch, total)
+    return cfg
+
+
+# (batch, total) per target kind on medium_net: 20 nodes and 96 edges.
+ALIGNMENTS = {
+    "aligned": {"nodes": (2, 10), "edges": (4, 20)},
+    "unaligned": {"nodes": (3, 10), "edges": (6, 20)},
+}
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["static", "recompute"])
+@pytest.mark.parametrize(
+    "target_kind,indicator",
+    [("nodes", "out_strength"), ("nodes", "random"), ("edges", "edge_weight")],
+    ids=["out_strength", "random_nodes", "edge_weight"],
+)
+@pytest.mark.parametrize("alignment", ALIGNMENTS)
+def test_both_orders_equal_forward_full_recompute_with_any_last_batch(
+    medium_net, alignment, target_kind, indicator, recompute
+):
+    # Aligned, the shock and recovery batches end at the same cuts; unaligned,
+    # the one reverse-order pass also stops where only one phase has a point.
+    batch, total = ALIGNMENTS[alignment][target_kind]
+    for order in RecoveryOrder:
+        cfg = counted_config(
+            medium_net,
+            target_kind,
+            batch,
+            total,
+            indicator=indicator,
+            recovery_order=order,
+            master_seed=5,
+            recompute_rankings=recompute,
+        )
+        assert run_shock_recovery(medium_net, cfg) == forward_shock_recovery(medium_net, cfg)
+
+
+@pytest.mark.parametrize("alignment", ALIGNMENTS)
+def test_reverse_order_restores_each_element_once(medium_net, monkeypatch, alignment):
+    restored: list[int] = []
+    rows: list[int] = []
+    restore, dijkstra = TradeNetwork.restore, efficiency.dijkstra
+
+    def counting_restore(net, elements):
+        restored.append(len(elements))
+        return restore(net, elements)
+
+    def counting_dijkstra(graph, *args, **kwargs):
+        result = dijkstra(graph, *args, **kwargs)
+        rows.append(1 if result.ndim == 1 else result.shape[0])
+        return result
+
+    monkeypatch.setattr(TradeNetwork, "restore", counting_restore)
+    monkeypatch.setattr(efficiency, "dijkstra", counting_dijkstra)
+    batch, total = ALIGNMENTS[alignment]["edges"]
+    cfg = counted_config(
+        medium_net,
+        "edges",
+        batch,
+        total,
+        indicator="edge_weight",
+        recovery_order="reverse_shock_order",
+    )
+    traj = run_shock_recovery(medium_net, cfg)
+    assert sum(restored) == total
+    assert rows == [20, 20]  # the baseline and the deepest state
+    assert len(traj.ne) == 1 + 2 * math.ceil(total / batch)
+
+
 def test_scenario_runs_dijkstra_at_the_baseline_and_the_deepest_state_only(monkeypatch):
     net = hub_network(n=41, n_hubs=5)
     rows: list[int] = []
@@ -358,7 +442,10 @@ def test_scenario_runs_dijkstra_at_the_baseline_and_the_deepest_state_only(monke
     assert rows == [41, 41]
 
 
-def test_scenario_raises_when_the_backward_pass_misses_the_baseline(medium_net, monkeypatch):
+@pytest.mark.parametrize("order", [o.value for o in RecoveryOrder])
+def test_scenario_raises_when_the_backward_pass_misses_the_baseline(
+    medium_net, monkeypatch, order
+):
     full = simulation.network_efficiency
 
     def off_by_one_ulp(net):
@@ -366,9 +453,58 @@ def test_scenario_raises_when_the_backward_pass_misses_the_baseline(medium_net, 
         return replace(result, raw_efficiency=np.nextafter(result.raw_efficiency, 0.0))
 
     monkeypatch.setattr(simulation, "network_efficiency", off_by_one_ulp)
-    cfg = ScenarioConfig(target_kind="nodes", indicator="out_degree", batch_fraction=0.1)
+    cfg = ScenarioConfig(
+        target_kind="nodes", indicator="out_degree", batch_fraction=0.1, recovery_order=order
+    )
     with pytest.raises(RuntimeError, match="not the baseline"):
         run_shock_recovery(medium_net, cfg)
+
+
+# -- exact monotonicity ---------------------------------------------------------
+
+# No edge, or a weight of any scale: 1e-9 and 1e12 together make d + 1/w == d.
+EDGE_WEIGHTS = st.one_of(
+    st.none(), st.sampled_from([1e-9, 1e12, 0.5, 1.0, 2.0]), st.floats(0.1, 10.0)
+)
+
+
+@st.composite
+def small_scenarios(draw) -> tuple[TradeNetwork, ScenarioConfig]:
+    n = draw(st.integers(3, 7))
+    drawn = draw(st.lists(EDGE_WEIGHTS, min_size=n * n, max_size=n * n))
+    weights = np.array([0.0 if w is None else w for w in drawn]).reshape(n, n)
+    np.fill_diagonal(weights, 0.0)
+    weights[0, 1] = weights[0, 1] or 1.0  # at least one edge, so the baseline mean is positive
+    net = TradeNetwork(codes_for(n), weights)
+    target_kind = draw(st.sampled_from(["nodes", "edges"]))
+    indicators = NODE_INDICATORS if target_kind == "nodes" else EDGE_INDICATORS
+    total = draw(st.integers(1, n if target_kind == "nodes" else net.n_active_edges))
+    cfg = counted_config(
+        net,
+        target_kind,
+        draw(st.integers(1, total)),
+        total,
+        indicator=draw(st.sampled_from(sorted(k.value for k in indicators))),
+        recovery_order=draw(st.sampled_from(list(RecoveryOrder))),
+        replicates=1,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        recompute_rankings=draw(st.booleans()),
+    )
+    return net, cfg
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(small_scenarios())
+def test_efficiency_never_rises_in_the_shock_nor_falls_in_the_recovery(scenario):
+    # A shock only removes edges, so no least walk cost falls; the float sums
+    # are monotone too, so this holds bit for bit, with no tolerance.
+    net, cfg = scenario
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # PageRank and HITS may stop early
+        traj = run_shock_recovery(net, cfg)
+    shock, recovery = traj.ne[: traj.t_r + 1], traj.ne[traj.t_r :]
+    assert all(after <= before for before, after in zip(shock, shock[1:])), cfg
+    assert all(after >= before for before, after in zip(recovery, recovery[1:])), cfg
 
 
 # -- random control -------------------------------------------------------------
