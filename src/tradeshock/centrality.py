@@ -153,8 +153,7 @@ def betweenness(net: TradeNetwork) -> np.ndarray:
     if sources.size == 0:
         return scores
     costs = shortest_path_costs(net, sources=sources)
-    into = np.full((n, n), np.inf)  # into[w, v]: length of the edge v -> w
-    into[mask.T] = 1.0 / net.baseline_weights.T[mask.T]
+    into = np.where(mask.T, net.baseline_lengths.T, np.inf)  # into[w, v]: length of v -> w
     order = _settlement_order(costs, sources, into.T)
     rows = np.arange(sources.size)
     n_ranks = int(np.isfinite(costs).sum(axis=1).max())
@@ -325,8 +324,6 @@ def detect_communities(net: TradeNetwork, seed: int | None = 0) -> np.ndarray:
         _, compact = np.unique(comm, return_inverse=True)
         membership = compact[membership]
         n_comm = int(compact.max()) + 1
-        if n_comm == level.shape[0]:
-            break
         indicator = np.zeros((level.shape[0], n_comm))
         indicator[np.arange(level.shape[0]), compact] = 1.0
         level = indicator.T @ level @ indicator  # diagonal = intra weight, both orders

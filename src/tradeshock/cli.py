@@ -28,9 +28,10 @@ import os
 import sys
 import tempfile
 import zlib
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .centrality import IndicatorKind, rank_edges, rank_nodes
 from .efficiency import network_efficiency
@@ -39,7 +40,6 @@ from .ingest import build_yearly_networks, parse_trade_file
 from .network import TradeNetwork
 from .resilience import summarize
 from .simulation import (
-    RecoveryOrder,
     ScenarioConfig,
     TargetKind,
     child_seed,
@@ -49,18 +49,10 @@ from .simulation import (
     run_shock_recovery,
 )
 
-_REPORT_HEADER = "year,indicator,target_kind,R,LONE_DS,LONE_RS,Resilience,NE0"
+# Resilience columns of reports.csv and summary.json; each lower-cased is a ResilienceReport field.
+_REPORT_COLUMNS = ("R", "LONE_DS", "LONE_RS", "Resilience", "NE0")
 _TRAJECTORY_HEADER = ("run_id", "year", "indicator", "target_kind", "t", "phase", "NE", "NE_std")
 _MANIFEST_KEYS = ("input", "output_dir", "scenarios", "flow", "years", "master_seed", "jobs")
-# simulate flags that set the scenario key of the same name when given; a flag
-# left out is left out of the scenario, so the default is ScenarioConfig's.
-_SCENARIO_FLAGS = (
-    "batch_fraction",
-    "shock_depth",
-    "recovery_order",
-    "replicates",
-    "recompute_rankings",
-)
 
 
 def _fmt(x: float) -> str:
@@ -246,11 +238,7 @@ def _run_one(
         "year": year,
         "indicator": config.indicator.value,
         "target_kind": config.target_kind.value,
-        "R": report.r,
-        "LONE_DS": report.lone_ds,
-        "LONE_RS": report.lone_rs,
-        "Resilience": report.resilience,
-        "NE0": report.ne0,
+        **{column: getattr(report, column.lower()) for column in _REPORT_COLUMNS},
     }
 
 
@@ -279,9 +267,7 @@ def _manifest_from_flags(args: argparse.Namespace) -> dict:
     indicators = [token.strip() for token in args.indicators.split(",") if token.strip()]
     if not indicators:
         raise ValueError("no indicators given")
-    options = {
-        key: getattr(args, key) for key in _SCENARIO_FLAGS if getattr(args, key) is not None
-    }
+    options = {f.name: getattr(args, f.name) for f in fields(ScenarioConfig) if f.name in args}
     return {
         "input": args.input,
         "flow": args.flow,
@@ -358,12 +344,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             failures.append((run_id, str(exc)))
 
     results.sort(key=lambda row: (row["year"], row["indicator"], row["target_kind"]))
-    lines = [_REPORT_HEADER]
+    lines = [",".join(("year", "indicator", "target_kind", *_REPORT_COLUMNS))]
     for row in results:
         lines.append(
             f"{row['year']},{row['indicator']},{row['target_kind']},"
-            f"{_fmt(row['R'])},{_fmt(row['LONE_DS'])},{_fmt(row['LONE_RS'])},"
-            f"{_fmt(row['Resilience'])},{_fmt(row['NE0'])}"
+            + ",".join(_fmt(row[column]) for column in _REPORT_COLUMNS)
         )
     _write_atomic(out_dir / "reports.csv", "\n".join(lines) + "\n")
 
@@ -432,11 +417,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default="out_degree",
         help="comma-separated indicator names, one scenario each",
     )
-    p_sim.add_argument("--batch-fraction", type=float)  # no defaults: see _SCENARIO_FLAGS
-    p_sim.add_argument("--shock-depth", type=float)
-    p_sim.add_argument("--recovery-order", choices=[o.value for o in RecoveryOrder])
-    p_sim.add_argument("--replicates", type=int)
-    p_sim.add_argument("--recompute-rankings", action="store_true", default=None)
+    # A flag per scenario key with a default, but master_seed (--seed). A flag left
+    # out is left out of the scenario, so the default is ScenarioConfig's.
+    hints = get_type_hints(ScenarioConfig)
+    for field in fields(ScenarioConfig):
+        if field.default is MISSING or field.name == "master_seed":
+            continue
+        kind = hints[field.name]
+        if kind is bool:
+            options = {"action": "store_true"}
+        elif issubclass(kind, Enum):
+            options = {"choices": [member.value for member in kind]}
+        else:
+            options = {"type": kind}
+        flag = "--" + field.name.replace("_", "-")
+        p_sim.add_argument(flag, default=argparse.SUPPRESS, **options)
     p_sim.add_argument("--seed", type=int, default=0, help="master seed")
     p_sim.set_defaults(func=cmd_simulate)
 

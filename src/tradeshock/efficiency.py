@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .network import TradeNetwork, _in_year
+from .network import ShockStateError, TradeNetwork, _in_year
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ def shortest_path_costs(net: TradeNetwork, sources=None) -> np.ndarray:
     """
     lengths = net.baseline_lengths
     graph = csr_matrix(_length_graph(net.active_edge_mask, lengths), shape=lengths.shape)
-    if sources is None:
-        return dijkstra(graph, directed=True)
     return dijkstra(graph, directed=True, indices=sources)
 
 
@@ -205,15 +203,22 @@ class DistanceEngine:
     def remove(self, elements) -> bool:
         """Shock ``elements`` (node codes and edges, in order) on ``net``; update ``costs``.
 
-        Returns False, with ``costs`` untouched, when no entry can change.
+        Returns False, with ``costs`` untouched, when no entry can change. A
+        rejected batch raises with the masks and ``costs`` as they were.
         """
         net, flat = self.net, self.costs.reshape(-1)
         before = net.active_edge_mask
-        for element in elements:
-            if isinstance(element, str):
-                net.shock_nodes([element])
-            else:
-                net.shock_edges([element])
+        shocked = []
+        try:
+            for element in elements:
+                if isinstance(element, str):
+                    net.shock_nodes([element])
+                else:
+                    net.shock_edges([element])
+                shocked.append(element)
+        except (ValueError, ShockStateError):
+            net.restore(shocked)
+            raise
         after = net.active_edge_mask
         marked = np.zeros(flat.size, dtype=bool)
         for entries, candidates in self._candidates(before & ~after):

@@ -1,30 +1,33 @@
 """Shock-recovery scenario execution and single-element impact rankings.
 
 A scenario forks the network, freezes the baseline mean edge weight as the
-normalization reference, then removes targets in ranked batches down to the
-configured depth and restores them in batches of the same size. Normalized
-efficiency is recorded after every batch, so each trajectory is a staircase
-from the intact network through maximum disruption and back, kept by
-position: ``ne[0]`` is the baseline, ``ne[1:t_r + 1]`` the shock phase down
-to the maximum shock at ``t_r``, and ``ne[t_r + 1:]`` the recovery phase;
-``batches[t - 1]`` holds the elements shocked or restored at step ``t``.
+normalization reference, and fixes one list of elements, the shock list:
+the first ``total = ceil(shock_depth * targets)`` of the ranking, or, when
+rankings are recomputed, each batch taken from a fresh ranking of the
+survivors. Batch ``k`` of either phase ends ``ends[k - 1] = min(k * batch,
+total)`` elements into its order: the shock phase removes the list front
+to back, and the recovery phase restores it in shock order or reversed.
+Normalized efficiency is read after every batch, so each trajectory is a
+staircase kept by position: ``ne[0]`` is the baseline, ``ne[1:t_r + 1]``
+the shock phase down to the maximum shock at ``t_r``, and ``ne[t_r + 1:]``
+the recovery phase; ``batches[t - 1]`` holds the elements shocked or
+restored at step ``t``.
 
-The schedule walks the shock phase forward and fixes the batches, ranking
-each state when rankings are recomputed; it computes no efficiency. Then
-one all-pairs Dijkstra at the deepest state gives every other point by
-restoring shocked elements, which only inserts edges. A
-:class:`~tradeshock.efficiency.DistanceEngine` applies each insertion
+The schedule shocks the list, a static ranking in one call, and computes
+no efficiency. One all-pairs Dijkstra at the deepest state then gives
+every other point by restoring shocked elements, which only inserts edges;
+a :class:`~tradeshock.efficiency.DistanceEngine` applies each insertion
 exactly, so every point equals a full recompute bit for bit. Shock step
-``t`` is the deepest state plus the last elements shocked, so restoring
-them in reverse walks the shock phase backward. Under
-``reverse_shock_order`` the recovery states lie on that same walk, and one
-restore pass reads both phases, cutting wherever a shock or a recovery
-batch ends. ``shock_order`` recovery restores the elements in another
-order and takes a second pass from the deepest state. Every pass ends on
-the starting masks, so on the baseline value bit for bit; a run whose pass
-misses it raises instead of returning a trajectory. The baseline is one
-full evaluation, which a caller computes once per year and passes to every
-run and replicate of that year.
+``t`` is the deepest state with the last ``total - ends[t - 1]`` elements
+of the list restored, so restoring the reversed list walks the shock phase
+backward. Under ``reverse_shock_order`` the recovery states lie on that
+same walk, and one restore pass reads both phases, cutting wherever a shock
+or a recovery batch ends; ``shock_order`` recovery takes a second pass from
+the deepest state. Every pass ends on the starting masks, so on the
+baseline value bit for bit; a run whose pass misses it raises instead of
+returning a trajectory. The baseline is one full evaluation, which a
+caller computes once per year and passes to every run and replicate of
+that year.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
@@ -180,37 +182,28 @@ def _ranked_targets(net: TradeNetwork, config: ScenarioConfig, seed: int) -> tup
     return rank_edges(net, config.indicator, seed=seed).ordered_items
 
 
-def _apply_shock(net: TradeNetwork, target_kind: TargetKind, chunk: Sequence) -> None:
+def _apply_shock(net: TradeNetwork, target_kind: TargetKind, elements: Sequence) -> None:
     if target_kind is TargetKind.nodes:
-        net.shock_nodes(chunk)
+        net.shock_nodes(elements)
     else:
-        net.shock_edges(chunk)
+        net.shock_edges(elements)
 
 
-def _chunked(items: Sequence, size: int) -> Iterable[tuple]:
-    for start in range(0, len(items), size):
-        yield tuple(items[start : start + size])
-
-
-def _schedule(work: TradeNetwork, config: ScenarioConfig, batch: int, total: int) -> list[tuple]:
-    """Shock ``work`` batch by batch down to the scenario's depth; return the batches."""
-    chunks: list[tuple] = []
-    if config.recompute_rankings:
-        # Re-rank the survivors before every batch; random draws get a fresh
-        # stream per step so replicates stay independent across steps too.
-        shocked = 0
-        while shocked < total:
-            take = min(batch, total - shocked)
-            ranked = _ranked_targets(work, config, child_seed(config.master_seed, len(chunks)))
-            chunks.append(tuple(ranked[:take]))
-            _apply_shock(work, config.target_kind, chunks[-1])
-            shocked += take
-    else:
-        ranked = _ranked_targets(work, config, config.master_seed)
-        chunks = list(_chunked(ranked[:total], batch))
-        for chunk in chunks:
-            _apply_shock(work, config.target_kind, chunk)
-    return chunks
+def _schedule(work: TradeNetwork, config: ScenarioConfig, ends: Sequence[int]) -> list:
+    """Shock ``work`` down to ``ends[-1]`` elements; return them in shock order."""
+    if not config.recompute_rankings:
+        shocked = list(_ranked_targets(work, config, config.master_seed)[: ends[-1]])
+        _apply_shock(work, config.target_kind, shocked)
+        return shocked
+    # Re-rank the survivors before every batch; random draws get a fresh
+    # stream per step so replicates stay independent across steps too.
+    shocked = []
+    for step, end in enumerate(ends):
+        ranked = _ranked_targets(work, config, child_seed(config.master_seed, step))
+        taken = ranked[: end - len(shocked)]
+        _apply_shock(work, config.target_kind, taken)
+        shocked.extend(taken)
+    return shocked
 
 
 def plan_scenario(net: TradeNetwork, config: ScenarioConfig) -> tuple[float, int, int]:
@@ -257,36 +250,37 @@ def run_shock_recovery(
     reference, batch, total = plan_scenario(work, config)
     if baseline is None:
         baseline = network_efficiency(work).raw_efficiency
-    chunks = _schedule(work, config, batch, total)
-
+    # Batch k of either phase ends ends[k - 1] elements into its order.
+    ends = [min(end, total) for end in range(batch, total + batch, batch)]
+    shocked = _schedule(work, config, ends)
     # Every later point is the deepest state plus restored elements: one APSP
     # there, then edge insertions only. Shock step t is the deepest state
-    # plus backward[:total - depth_t], the last elements shocked.
-    backward = [element for chunk in reversed(chunks) for element in reversed(chunk)]
-    shock_cuts = [total - depth for depth in accumulate(map(len, chunks))]
+    # plus backward[:total - ends[t - 1]], the last elements shocked.
+    backward = shocked[::-1]
+    shock_cuts = [total - end for end in ends]
     reverse = config.recovery_order is RecoveryOrder.reverse_shock_order
-    recovered = backward if reverse else backward[::-1]
-    restored = list(_chunked(recovered, batch))
-    recovery_cuts = list(accumulate(map(len, restored)))
+    recovered = backward if reverse else shocked
     deepest = shortest_path_costs(work)
     if reverse:
         # Recovery restores the same elements in the same order: one pass
         # reads both phases at the union of their cuts.
         engine = DistanceEngine(work, deepest)
-        shock_raw = recovery_raw = _restore_through(engine, backward, shock_cuts + recovery_cuts)
+        shock_raw = recovery_raw = _restore_through(engine, backward, shock_cuts + ends)
     else:
         engine = DistanceEngine(work.fork(), deepest.copy())
         shock_raw = _restore_through(engine, backward, shock_cuts + [total])
-        recovery_raw = _restore_through(DistanceEngine(work, deepest), recovered, recovery_cuts)
+        recovery_raw = _restore_through(DistanceEngine(work, deepest), recovered, ends)
     for walk in (shock_raw, recovery_raw):
         if walk[total] != baseline:
             raise RuntimeError(
                 f"restoring every batch gave raw efficiency {walk[total]!r}, "
                 f"not the baseline {baseline!r}"
             )
-    raw = [baseline] + [shock_raw[c] for c in shock_cuts] + [recovery_raw[c] for c in recovery_cuts]
+    raw = [baseline] + [shock_raw[c] for c in shock_cuts] + [recovery_raw[c] for c in ends]
     ne = tuple(x / reference for x in raw)
-    return Trajectory(ne, len(chunks), tuple(chunks + restored), reference)
+    spans = list(zip([0, *ends], ends))
+    batches = tuple(tuple(order[a:b]) for order in (shocked, recovered) for a, b in spans)
+    return Trajectory(ne, len(ends), batches, reference)
 
 
 @dataclass(frozen=True)

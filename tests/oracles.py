@@ -42,7 +42,7 @@ from tradeshock import (
     strength,
 )
 from tradeshock.centrality import _node_scores
-from tradeshock.simulation import _apply_shock, _chunked, child_seed
+from tradeshock.simulation import _apply_shock, child_seed
 
 
 def _adjacency(net: TradeNetwork) -> list[list[tuple[int, float]]]:
@@ -376,6 +376,11 @@ def _ranked_targets(net: TradeNetwork, config: ScenarioConfig, seed: int) -> tup
     if config.target_kind is TargetKind.nodes:
         return sorted_rank_nodes(net, config.indicator, seed=seed).ordered_items
     return sorted_rank_edges(net, config.indicator, seed=seed).ordered_items
+
+
+def _chunked(items, size: int):
+    for start in range(0, len(items), size):
+        yield tuple(items[start : start + size])
 
 
 def forward_shock_recovery(net: TradeNetwork, config: ScenarioConfig) -> Trajectory:

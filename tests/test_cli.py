@@ -395,6 +395,35 @@ def test_simulate_flags_and_manifest_share_scenario_defaults(tmp_path):
     assert_same_files(flags_out, manifest_out)
 
 
+def test_simulate_flags_set_the_scenario_keys_they_name(tmp_path):
+    # Every flag away from its default: a flag that set nothing would show as a diff.
+    data = write_fixture(tmp_path / "trade.csv")
+    flags_out, manifest_out = tmp_path / "flags", tmp_path / "manifest"
+    argv = ["simulate", "--input", str(data), "--output-dir", str(flags_out), "--seed", "5"]
+    argv += ["--target", "edges", "--indicators", "random", "--batch-fraction", "0.25"]
+    argv += ["--shock-depth", "0.75", "--recovery-order", "reverse_shock_order"]
+    assert main(argv + ["--replicates", "3", "--recompute-rankings"]) == 0
+    scenario = {
+        "target_kind": "edges",
+        "indicator": "random",
+        "batch_fraction": 0.25,
+        "shock_depth": 0.75,
+        "recovery_order": "reverse_shock_order",
+        "replicates": 3,
+        "recompute_rankings": True,
+    }
+    manifest = {
+        "input": str(data),
+        "output_dir": str(manifest_out),
+        "master_seed": 5,
+        "scenarios": [scenario],
+    }
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 0
+    assert_same_files(flags_out, manifest_out)
+
+
 def test_simulate_evaluates_each_year_baseline_once(tmp_path, monkeypatch):
     # Three scenarios on one year, five runs with the random control's three
     # replicates: one shared baseline APSP, then one at each run's deepest state.
@@ -576,6 +605,26 @@ def test_weights_that_overflow_float64_exit_one(tmp_path, capsys, rows, message,
     assert captured.out == ""
 
 
+def test_ingest_summary_names_a_short_row(tmp_path, capsys):
+    data = tmp_path / "trade.csv"
+    data.write_text("year,reporter,partner,flow,value_usd\n2001,AAA,BBB\n", encoding="utf-8")
+    assert main(["ingest", "-i", str(data), "--summary"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{data}: 0 records parsed, 1 malformed rows, 0 zero-value rows dropped",
+        f"{data}:2: expected 5 fields, got 3",
+        f"error: {data} has no import records",
+    ]
+
+
+@pytest.mark.parametrize("target", ["nodes", "edges"])
+def test_impact_on_a_year_of_self_trade_only_exits_one(tmp_path, capsys, target):
+    data = write_unrunnable_fixture(tmp_path / "trade.csv")
+    assert main(["impact", "-i", str(data), "--years", "2021", "--target", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: impact needs a network with at least one active edge\n"
+    assert captured.out == ""
+
+
 def test_ingest_summary_explains_a_file_without_records(tmp_path, capsys):
     data = tmp_path / "trade.csv"
     data.write_text(
@@ -596,6 +645,32 @@ def test_simulate_rejects_bad_manifest(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys):
+    data = write_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps([manifest_for(data, out_dir)]), encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    assert capsys.readouterr().err == "error: manifest must be a JSON object\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-i", "trade.csv"], "simulate needs --input and --output-dir (or --manifest)"),
+        (["-o", "out"], "simulate needs --input and --output-dir (or --manifest)"),
+        (["-i", "trade.csv", "-o", "out", "--indicators", ","], "no indicators given"),
+    ],
+)
+def test_simulate_rejects_incomplete_flags(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    write_fixture(tmp_path / "trade.csv")
+    assert main(["simulate", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -607,6 +682,9 @@ def test_simulate_rejects_bad_manifest(tmp_path, capsys):
         ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
         ({"output_dir": None}, "manifest has output_dir=None, expected str"),
         ({"input": ["trade.csv"]}, "manifest has input=['trade.csv'], expected str"),
+        ({"scenarios": []}, "manifest needs a non-empty scenarios list"),
+        ({"scenarios": {"target_kind": "nodes"}}, "manifest needs a non-empty scenarios list"),
+        ({"flow": "both"}, "flow must be one of ['export', 'import'], got 'both'"),
     ],
 )
 def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message):
@@ -633,6 +711,7 @@ def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message
         ([], "years '' select no year"),
         (",", "years ',' select no year"),
         ("2001-99999999999", "year range '2001-99999999999' leaves [1900, 2100]"),
+        ("2002-2001", "bad year range '2002-2001'"),
     ],
 )
 def test_simulate_rejects_bad_years(tmp_path, capsys, years, message):

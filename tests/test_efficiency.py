@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.sparse import csr_matrix
 from tradeshock import efficiency
 from tradeshock import (
     DistanceEngine,
+    ShockStateError,
     TradeNetwork,
     build_network,
     network_efficiency,
@@ -315,6 +317,27 @@ def test_remove_of_an_edge_tight_in_no_row_changes_nothing():
     assert_engine_exact(engine, ("A", "B"))
     assert DistanceEngine(net.fork(), intact.copy()).remove([("A", "C")]) is True
     assert dict(rank_by_impact(net, "edges", 3))[("A", "B")] == 0.0
+
+
+@pytest.mark.parametrize(
+    "batch, error, message",
+    [
+        ([("A", "B"), "ZZZ"], ValueError, "unknown economy 'ZZZ'"),
+        (["C", ("C", "A")], ShockStateError, "edge 'C' -> 'A' is inactive via a shocked endpoint"),
+    ],
+)
+def test_a_rejected_removal_leaves_masks_and_costs_as_they_were(batch, error, message):
+    # The batch fails at its second element, after the first has been shocked.
+    net = build_network([("A", "B", 1.0), ("B", "C", 2.0), ("C", "A", 4.0)])
+    nodes, edges = net.active_node_mask, net.active_edge_mask
+    intact = shortest_path_costs(net)
+    engine = DistanceEngine(net, intact.copy())
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        engine.remove(batch)
+    assert np.array_equal(net.active_node_mask, nodes)
+    assert np.array_equal(net.active_edge_mask, edges)
+    assert np.array_equal(engine.costs, intact)
+    assert_engine_exact(engine, batch)
 
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
