@@ -325,42 +325,37 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
 
     An element's impact is the drop in normalized efficiency when it alone
     is removed, with the network's mean edge weight as the reference. One
-    all-pairs Dijkstra gives the intact distances; each active element is
-    then removed through a :class:`DistanceEngine`, which updates only the
-    entries the removal can change, and put back by writing the saved
-    matrix back and restoring the masks; a removal that changes no distance
-    has impact 0.0. Ties break as in rankings: by total strength then code
-    for nodes (``node_order``), by (source, target) for edges (``edge_order``).
+    all-pairs Dijkstra gives the intact distances; :meth:`DistanceEngine.without`
+    then measures every active element as a probe, leaving the masks alone:
+    it updates only the entries a removal can change, in chunks of probes
+    that share one graph. A removal that changes no distance has impact 0.0.
+    Ties break as in rankings: by total strength then code for nodes
+    (``node_order``), by (source, target) for edges (``edge_order``).
     """
     kind = TargetKind(target_kind)
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    work = net.fork()
-    reference = work.stats().mean_edge_weight
+    reference = net.stats().mean_edge_weight
     if reference <= 0:
         raise ValueError("impact needs a network with at least one active edge")
-    intact = shortest_path_costs(work)
-    engine = DistanceEngine(work, intact.copy())
+    engine = DistanceEngine(net, shortest_path_costs(net))
     before = engine.raw_efficiency / reference
 
-    def impact_of(element) -> float:
-        impact = 0.0  # a removal that changes no distance leaves the efficiency as it was
-        if engine.remove([element]):
-            impact = before - engine.raw_efficiency / reference
-            np.copyto(engine.costs, intact)
-        work.restore([element])
-        return impact
+    def impacts_of(elements) -> list[float]:
+        # A removal that changes no distance leaves the efficiency as it was.
+        raws = engine.without([[element] for element in elements])
+        return [0.0 if raw is None else before - raw / reference for raw in raws]
 
     codes = net.codes
     if kind is TargetKind.nodes:
+        active = np.flatnonzero(net.active_node_mask)
         impacts = np.zeros(net.n_nodes)
-        for i in np.flatnonzero(net.active_node_mask).tolist():
-            impacts[i] = impact_of(codes[i])
+        impacts[active] = impacts_of([codes[i] for i in active.tolist()])
         order = node_order(net, impacts)[:top_k].tolist()
         return [(codes[i], float(impacts[i])) for i in order]
 
     tails, heads = np.nonzero(net.active_edge_mask)
     pairs = zip(tails.tolist(), heads.tolist())
-    impacts = np.array([impact_of((codes[i], codes[j])) for i, j in pairs])
+    impacts = np.array(impacts_of((codes[i], codes[j]) for i, j in pairs))
     order = edge_order(net, impacts, tails, heads)[:top_k].tolist()
     return [((codes[tails[k]], codes[heads[k]]), float(impacts[k])) for k in order]

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from tradeshock import efficiency
@@ -257,8 +259,8 @@ def assert_engine_exact(engine: DistanceEngine, label) -> None:
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
 def test_remove_equals_full_recompute_after_every_element(make):
-    # Each element alone, put back as an impact probe does: the saved matrix
-    # written back, the masks restored.
+    # Each element alone, put back by writing the saved matrix back and
+    # restoring the masks.
     net = make()
     nodes, edges = net.active_node_mask, net.active_edge_mask
     intact = shortest_path_costs(net)
@@ -338,6 +340,139 @@ def test_a_rejected_removal_leaves_masks_and_costs_as_they_were(batch, error, me
     assert np.array_equal(net.active_edge_mask, edges)
     assert np.array_equal(engine.costs, intact)
     assert_engine_exact(engine, batch)
+
+
+def has_tight_row(net: TradeNetwork, costs: np.ndarray, element) -> bool:
+    """Whether some row has an edge that ``element`` removes tight: the phase-1 seed test."""
+    removed = np.zeros_like(net.active_edge_mask)
+    if isinstance(element, str):
+        i = net.index_of(element)
+        removed[i, :] = removed[:, i] = True
+    else:
+        removed[net.index_of(element[0]), net.index_of(element[1])] = True
+    tails, heads = np.nonzero(removed & net.active_edge_mask)
+    candidates = costs[:, tails] + net.baseline_lengths[tails, heads]
+    return bool(((candidates == costs[:, heads]) & np.isfinite(candidates)).any())
+
+
+def shocked_fork(net: TradeNetwork, elements) -> TradeNetwork:
+    """A fork with ``elements`` shocked, edges before nodes, so no edge goes with its endpoint."""
+    work = net.fork()
+    work.shock_edges([e for e in elements if not isinstance(e, str)])
+    return work.shock_nodes([e for e in elements if isinstance(e, str)])
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_without_equals_full_recompute_for_every_element(make):
+    # Every node and every edge in one call: several chunks, the last one partial.
+    net = make()
+    nodes, edges = net.active_node_mask, net.active_edge_mask
+    intact = shortest_path_costs(net)
+    engine = DistanceEngine(net, intact.copy())
+    elements = all_elements(net)
+    raws = engine.without([[element] for element in elements])
+    assert len(raws) == len(elements)
+    live = sum(raw is not None for raw in raws)
+    assert live > efficiency._PROBES_PER_PASS, live
+    for element, raw in zip(elements, raws):
+        assert (raw is not None) == has_tight_row(net, intact, element), element
+        full = network_efficiency(shocked_fork(net, [element])).raw_efficiency
+        assert (engine.raw_efficiency if raw is None else raw) == full, element
+    assert np.array_equal(net.active_node_mask, nodes)
+    assert np.array_equal(net.active_edge_mask, edges)
+    assert np.array_equal(engine.costs, intact)
+
+
+def active_elements(net: TradeNetwork) -> list:
+    nodes = [net.codes[i] for i in np.flatnonzero(net.active_node_mask)]
+    return nodes + [(e.source, e.target) for e in net.active_edges()]
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_without_of_several_elements_equals_full_recompute(make):
+    # Probes of three elements each, on a network that is already partly shocked.
+    net = make()
+    rng = np.random.default_rng(12)
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    engine.remove([net.codes[k] for k in rng.choice(net.n_nodes, 2, replace=False)])
+    active = active_elements(net)
+    probes = [[active[k] for k in rng.choice(len(active), 3, replace=False)] for _ in range(20)]
+    costs = engine.costs.copy()
+    for probe, raw in zip(probes, engine.without(probes)):
+        full = network_efficiency(shocked_fork(net, probe)).raw_efficiency
+        assert (engine.raw_efficiency if raw is None else raw) == full, probe
+    assert np.array_equal(engine.costs, costs)
+
+
+@pytest.mark.parametrize(
+    "probe, error, message",
+    [
+        ([("A", "B"), "ZZZ"], ValueError, "unknown economy 'ZZZ'"),
+        (["C"], ShockStateError, "node 'C' is not active"),
+        ([("C", "A")], ShockStateError, "edge 'C' -> 'A' is not active"),
+        ([("A", "C")], ShockStateError, "edge 'A' -> 'C' is not active"),
+    ],
+)
+def test_without_rejects_unknown_and_inactive_elements(probe, error, message):
+    net = build_network([("A", "B", 1.0), ("B", "C", 2.0), ("C", "A", 4.0), ("B", "A", 8.0)])
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    engine.remove(["C"])
+    nodes, edges, costs = net.active_node_mask, net.active_edge_mask, engine.costs.copy()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        engine.without([[("B", "A")], probe])
+    assert np.array_equal(net.active_node_mask, nodes)
+    assert np.array_equal(net.active_edge_mask, edges)
+    assert np.array_equal(engine.costs, costs)
+
+
+# No edge; lengths 2, 1 and 0.5, whose paths tie exactly; 1e-9 and 1e12, whose
+# lengths absorb each other (fl(1e9 + 1e-12) == 1e9); and weights near the
+# float64 limits: 5.6e-309 has a length of 1.79e308, so two such hops sum to
+# inf, and 1e305 keeps 30 edges' total volume and pair efficiencies finite.
+PROPERTY_WEIGHTS = st.one_of(
+    st.none(), st.sampled_from([0.5, 1.0, 2.0, 1e-9, 1e12, 5.6e-309, 1e305])
+)
+
+
+@st.composite
+def tie_and_limit_networks(draw) -> TradeNetwork:
+    n = draw(st.integers(2, 6))
+    drawn = draw(st.lists(PROPERTY_WEIGHTS, min_size=n * n, max_size=n * n))
+    weights = np.array([0.0 if w is None else w for w in drawn]).reshape(n, n)
+    np.fill_diagonal(weights, 0.0)
+    return TradeNetwork(codes_for(n), weights)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100)
+@given(tie_and_limit_networks(), st.data())
+def test_engine_equals_scipy_under_random_removes_restores_and_probes(net, data):
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    shocked: list = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        active = active_elements(net)
+        step = data.draw(st.sampled_from(["remove", "restore", "without"]))
+        if step == "remove" and active:
+            batch = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=3, unique=True))
+            batch.sort(key=lambda element: isinstance(element, str))  # edges before nodes
+            costs = engine.costs.copy()
+            if not engine.remove(batch):
+                assert np.array_equal(engine.costs, costs), batch
+            shocked += batch
+        elif step == "restore" and shocked:
+            batch = data.draw(st.lists(st.sampled_from(shocked), min_size=1, max_size=3, unique=True))
+            engine.restore(batch)
+            shocked = [element for element in shocked if element not in batch]
+        elif step == "without" and active:
+            probe = st.lists(st.sampled_from(active), min_size=1, max_size=3, unique=True)
+            probes = data.draw(st.lists(probe, min_size=1, max_size=9))
+            costs, edges = engine.costs.copy(), net.active_edge_mask
+            for probe, raw in zip(probes, engine.without(probes)):
+                full = network_efficiency(shocked_fork(net, probe)).raw_efficiency
+                assert (engine.raw_efficiency if raw is None else raw) == full, probe
+            assert np.array_equal(engine.costs, costs)
+            assert np.array_equal(net.active_edge_mask, edges)
+        assert np.array_equal(engine.costs, shortest_path_costs(net)), step
 
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())

@@ -493,7 +493,7 @@ def small_scenarios(draw) -> tuple[TradeNetwork, ScenarioConfig]:
     return net, cfg
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(small_scenarios())
 def test_efficiency_never_rises_in_the_shock_nor_falls_in_the_recovery(scenario):
     # A shock only removes edges, so no least walk cost falls; the float sums
