@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .efficiency import _pair_efficiencies, shortest_path_costs
-from .network import TradeNetwork
+from .network import TradeNetwork, _ends
 
 
 class IndicatorKind(str, Enum):
@@ -108,7 +108,7 @@ def _settlement_order(costs: np.ndarray, sources: np.ndarray, lengths: np.ndarra
     order = np.argsort(costs, axis=1, kind="stable")
     # fl(d + l) == d needs l <= ulp(d) / 2 <= d * 2**-53: screen edges by their tail's largest d.
     farthest = np.where(np.isfinite(costs), costs, 0.0).max(axis=0)
-    tail, head = np.nonzero(lengths <= farthest[:, None] * 2.0**-52)
+    tail, head = _ends(lengths <= farthest[:, None] * 2.0**-52)
     d_tail = costs[:, tail]
     flat = np.isfinite(d_tail) & (d_tail + lengths[tail, head] == d_tail) & (d_tail == costs[:, head])
     for k in np.flatnonzero(flat.any(axis=1)).tolist():
@@ -463,7 +463,7 @@ def rank_edges(
     kind = IndicatorKind(indicator)
     if kind not in EDGE_INDICATORS:
         raise ValueError(f"{kind.value} does not rank edges")
-    tails, heads = np.nonzero(net.active_edge_mask)
+    tails, heads = _ends(net.active_edge_mask)
     if kind is IndicatorKind.edge_weight:
         scores = net.baseline_weights[tails, heads]
     else:

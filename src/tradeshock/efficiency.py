@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .network import ShockStateError, TradeNetwork, _in_year
+from .network import ShockStateError, TradeNetwork, _ends, _in_year
 
 
 @dataclass(frozen=True)
@@ -130,21 +130,21 @@ _PROBES_PER_PASS = 4
 
 
 class DistanceEngine:
-    """Exact distance matrix of a network whose elements are removed and restored.
+    """Exact distance matrix of a network whose elements are shocked and restored.
 
-    ``costs`` must be :func:`shortest_path_costs` of ``net`` as it stands; the
-    engine owns it from then on. :meth:`restore` and :meth:`remove` change
-    the masks of ``net`` and update ``costs`` in place, bit-identical to
-    :func:`shortest_path_costs` of the changed network. :meth:`without`
-    measures what-if removals and changes neither.
+    ``costs`` is :func:`shortest_path_costs` over the edges set in ``mask``,
+    bit for bit. At construction ``costs`` must be that of ``net`` as it
+    stands, and ``mask`` is its active edge mask; the engine owns ``costs``
+    from then on. :meth:`update` follows the network: however the masks of
+    ``net`` changed since the last update, by any caller and in either
+    direction, it updates ``costs`` in place and takes the new ``mask``.
+    :meth:`without` measures what-if removals and changes neither.
 
     The engine owns a fixed length graph: the network's frozen
     :attr:`~tradeshock.network.TradeNetwork.baseline_lengths`, and their
-    transpose for the in-edges, taken once at construction. Each call
-    reads the active edge mask and takes the active out-edges and in-edges
-    from it as plain compressed-row arrays; it keeps no mask state between
-    calls. So between calls the masks may change only through
-    :meth:`restore` and :meth:`remove`.
+    transpose for the in-edges, taken once at construction. Each update
+    takes the out-edges and in-edges it needs from the masks as plain
+    compressed-row arrays.
 
     Let ``W[i, v]`` be the least cost of a walk from ``i`` to ``v``, summed
     left to right in floating point. As ``fl(x + l)`` is monotone in ``x``
@@ -153,27 +153,30 @@ class DistanceEngine:
     (induction along any walk), and a matrix of walk costs or ``inf`` is at
     least ``W``. scipy's Dijkstra returns the walk costs of its predecessor
     chains, which satisfy the edge inequalities because a node settles only
-    after every node nearer than it: it returns ``W``. Both updates start
-    from entries that are walk costs in the changed graph or ``inf``, write
-    only ``fl(D[i, u] + l)`` of active edges, and relax every edge whose
-    inequality may have broken, then the out-edges of every entry that
-    improved, until none improves (at most ``N`` rounds, since a least walk
-    repeats no node). Every inequality then holds, so the matrix is ``W``.
+    after every node nearer than it: it returns ``W``. Both passes of an
+    update start from entries that are walk costs in the changed graph or
+    ``inf``, write only ``fl(D[i, u] + l)`` of active edges, and relax every
+    edge whose inequality may have broken, then the out-edges of every
+    entry that improved, until none improves (at most ``N`` rounds, since a
+    least walk repeats no node). Every inequality then holds, so the matrix
+    is ``W``.
 
-    Restore: old entries are walk costs in the larger graph too, and old
-    edges keep their inequalities; round 0 relaxes each new edge from every
-    row. Remove, the two phases of Ramalingam & Reps (J. Algorithms 1996),
-    a node being removed as all of its edges. Phase 1 marks ``(i, v)`` for
+    An update removes, then inserts. Removal takes ``costs`` to the kept
+    edges, those set both in ``mask`` and now, by the two phases of
+    Ramalingam & Reps (J. Algorithms 1996). Phase 1 marks ``(i, v)`` for
     each removed edge ``(u, v)`` tight in row ``i``, where
     ``fl(D[i, u] + l) == D[i, v]`` is finite, then every entry reached from
-    a marked one by a tight active edge. An unmarked entry's Dijkstra
+    a marked one by a tight kept edge. An unmarked entry's Dijkstra
     predecessor chain is all tight edges, so it avoids the removed edges and
     the entry stays a walk cost. Phase 2 sets the marked entries to ``inf``
-    and relaxes each from its active in-edges; inequalities between unmarked
-    entries still hold. Edges are expanded in slices of about ``N * N``, so
-    temporaries stay a fixed multiple of the matrix. A sum past the float64
-    range is ``inf``, no walk, as in scipy's Dijkstra: the updates raise no
-    overflow warning.
+    and relaxes each from its kept in-edges; inequalities between unmarked
+    entries still hold. Insertion then adds the edges active now and not
+    kept: old entries are walk costs in the larger graph too, and old edges
+    keep their inequalities, so round 0 relaxes each new edge from every
+    row. Edges are expanded in slices of about ``N * N``, so temporaries
+    stay a fixed multiple of the matrix. A sum past the float64 range is
+    ``inf``, no walk, as in scipy's Dijkstra: the updates raise no overflow
+    warning.
 
     A what-if removal is the same pass on a copy of ``costs`` over the intact
     graph with the removed edges set to length ``inf``: such an edge is
@@ -189,6 +192,7 @@ class DistanceEngine:
         self.costs = costs
         self._lengths = net.baseline_lengths
         self._lengths_in = np.ascontiguousarray(self._lengths.T)  # [v, u]: length of u -> v
+        self.mask = net.active_edge_mask
 
     @property
     def raw_efficiency(self) -> float:
@@ -202,48 +206,30 @@ class DistanceEngine:
         return _length_graph(mask.T, self._lengths_in)
 
     @np.errstate(over="ignore")
-    def restore(self, elements) -> None:
-        """Reactivate ``elements`` on ``net`` and bring ``costs`` up to date."""
-        net, flat = self.net, self.costs.reshape(-1)  # a view: writes land in costs
-        before = net.active_edge_mask
-        net.restore(elements)
-        after = net.active_edge_mask
-        changed = np.zeros(flat.size, dtype=bool)
-        for _, entries, candidates in self._candidates(*_ends(after & ~before)):
-            _relax(flat, entries.ravel(), candidates.ravel(), changed)
-        if changed.any():
-            _settle(flat, self._out_edges(after), changed, net.n_nodes)
+    def update(self) -> None:
+        """Bring ``costs`` up to date with the active edges of ``net``; make them ``mask``.
 
-    @np.errstate(over="ignore")
-    def remove(self, elements) -> bool:
-        """Shock ``elements`` (node codes and edges, in order) on ``net``; update ``costs``.
-
-        The one-probe case of :meth:`without`, committed: the masks change
-        through the network's checked shock, and ``costs`` in place. Returns
-        False, with ``costs`` untouched, when no entry can change. A
-        rejected batch raises with the masks and ``costs`` as they were.
+        The edges of ``mask`` gone inactive are removed first, leaving the
+        kept edges, active both then and now; the active edges not kept are
+        then inserted.
         """
-        net, flat = self.net, self.costs.reshape(-1)
-        before = net.active_edge_mask
-        shocked = []
-        try:
-            for element in elements:
-                if isinstance(element, str):
-                    net.shock_nodes([element])
-                else:
-                    net.shock_edges([element])
-                shocked.append(element)
-        except (ValueError, ShockStateError):
-            net.restore(shocked)
-            raise
-        after = net.active_edge_mask
-        marked = np.zeros(flat.size, dtype=bool)
-        for _, entries in self._tight(*_ends(before & ~after)):
-            marked[entries] = True
-        if not marked.any():
-            return False
-        _remove_marked(flat, self._out_edges(after), self._in_edges(after), marked, net.n_nodes)
-        return True
+        net, flat = self.net, self.costs.reshape(-1)  # a view: writes land in costs
+        before, after = self.mask, net.active_edge_mask
+        kept = before & after
+        removed, added = _ends(before > kept), _ends(after > kept)
+        if removed[0].size:  # a scenario's restores remove nothing: skip the N x N scans
+            marked = np.zeros(flat.size, dtype=bool)
+            for _, entries in self._tight(*removed):
+                marked[entries] = True
+            if marked.any():
+                _remove_marked(flat, self._out_edges(kept), self._in_edges(kept), marked, net.n_nodes)
+        if added[0].size:
+            changed = np.zeros(flat.size, dtype=bool)
+            for _, entries, candidates in self._candidates(*added):
+                _relax(flat, entries.ravel(), candidates.ravel(), changed)
+            if changed.any():
+                _settle(flat, self._out_edges(after), changed, net.n_nodes)
+        self.mask = after
 
     @np.errstate(over="ignore")
     def without(self, probes) -> list[float | None]:
@@ -251,17 +237,18 @@ class DistanceEngine:
 
         A probe is a collection of active elements: node codes and edges.
         Its entry is None when no distance can change, so the raw efficiency
-        stays :attr:`raw_efficiency`. The masks and ``costs`` are left as
-        they were. An unknown code raises ValueError and an inactive element
-        ShockStateError, before any probe runs.
+        stays :attr:`raw_efficiency`. It calls :meth:`update` first, then
+        leaves the masks and ``costs`` as they are. An unknown code raises
+        ValueError and an inactive element ShockStateError, before any probe
+        runs.
 
         One seed test against ``costs`` settles every probe that marks no
         entry. The others run in lockstep, :data:`_PROBES_PER_PASS` at a
         time, each in a layer of one buffer that starts as ``costs``; after
         each pass only the entries it marked are written back.
         """
-        n = self.net.n_nodes
-        mask = self.net.active_edge_mask
+        self.update()
+        n, mask = self.net.n_nodes, self.mask
         owner, tails, heads = self._probe_edges(probes, mask)
         hit = np.zeros(len(probes), dtype=bool)
         for edges, _ in self._tight(tails, heads):
@@ -351,14 +338,6 @@ class DistanceEngine:
         for s, entries, candidates in self._candidates(tails, heads):
             tight = np.flatnonzero((candidates == flat[entries]) & (candidates < np.inf))
             yield tight % entries.shape[1] + s, entries.reshape(-1)[tight]
-
-
-def _ends(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of the edges set in mask ``edges``, in row-major order.
-
-    A 2-D ``np.nonzero`` gives the same, about 15 times slower at N = 200.
-    """
-    return np.divmod(np.flatnonzero(edges), edges.shape[0])
 
 
 def _stacked(graph: _Graph, layers: int) -> _Graph:

@@ -17,6 +17,7 @@ import gzip
 import io
 import itertools
 import math
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -81,8 +82,16 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
     Row-level problems (bad numbers, unknown flow, bad year, a field the
     ``csv`` module cannot read) land in ``row_errors`` with 1-based line
     numbers and parsing continues at the next line. Only a missing,
-    unreadable or incomplete header is fatal.
+    unreadable or incomplete header, or a corrupt or truncated ``.gz``
+    file, is fatal.
     """
+    try:
+        return _parse_rows(source)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # raised only by a .gz path
+        raise TradeFileError(f"corrupt or truncated gzip file {source}: {exc}") from None
+
+
+def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
     report = ParseReport()
     with _open(source, "r") as fh:
         reader = csv.reader(fh)

@@ -49,7 +49,7 @@ from .centrality import (
     strength,  # noqa: F401 - unused here, but bench/spans.py wraps simulation.strength
 )
 from .efficiency import DistanceEngine, network_efficiency, shortest_path_costs
-from .network import TradeNetwork
+from .network import TradeNetwork, _ends
 
 
 class TargetKind(str, Enum):
@@ -232,7 +232,8 @@ def _restore_through(
     raw, done = {}, 0
     for cut in sorted(set(cuts)):
         if cut > done:
-            engine.restore(elements[done:cut])
+            engine.net.restore(elements[done:cut])
+            engine.update()
             done = cut
         raw[cut] = engine.raw_efficiency
     return raw
@@ -354,7 +355,7 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
         order = node_order(net, impacts)[:top_k].tolist()
         return [(codes[i], float(impacts[i])) for i in order]
 
-    tails, heads = np.nonzero(net.active_edge_mask)
+    tails, heads = _ends(net.active_edge_mask)
     pairs = zip(tails.tolist(), heads.tolist())
     impacts = np.array(impacts_of((codes[i], codes[j]) for i, j in pairs))
     order = edge_order(net, impacts, tails, heads)[:top_k].tolist()

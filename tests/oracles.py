@@ -27,7 +27,6 @@ import numpy as np
 from tradeshock import (
     EDGE_INDICATORS,
     NODE_INDICATORS,
-    DistanceEngine,
     IndicatorKind,
     InfluenceRanking,
     Phase,
@@ -38,7 +37,6 @@ from tradeshock import (
     TradeNetwork,
     Trajectory,
     network_efficiency,
-    shortest_path_costs,
     strength,
 )
 from tradeshock.centrality import _node_scores
@@ -328,30 +326,25 @@ def sorted_rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_
     """Most damaging single removals, as (element, impact) pairs.
 
     An element's impact is the drop in normalized efficiency when it alone
-    is removed, with the network's mean edge weight as the reference. One
-    all-pairs Dijkstra gives the intact distances; each active element is
-    then removed through a :class:`DistanceEngine`, which updates only the
-    entries the removal can change, and put back by writing the saved
-    matrix back and restoring the masks. Ties break by total strength then
-    code for nodes, and by (source, target) for edges.
+    is removed, with the network's mean edge weight as the reference: a
+    full evaluation of a fork with that element shocked. Ties break by
+    total strength then code for nodes, and by (source, target) for edges.
     """
     kind = TargetKind(target_kind)
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    work = net.fork()
-    reference = work.stats().mean_edge_weight
+    reference = net.stats().mean_edge_weight
     if reference <= 0:
         raise ValueError("impact needs a network with at least one active edge")
-    intact = shortest_path_costs(work)
-    engine = DistanceEngine(work, intact.copy())
-    before = engine.raw_efficiency / reference
+    before = network_efficiency(net).raw_efficiency / reference
 
     def impact_of(element) -> float:
-        engine.remove([element])
-        after = engine.raw_efficiency / reference
-        np.copyto(engine.costs, intact)
-        work.restore([element])
-        return before - after
+        work = net.fork()
+        if isinstance(element, str):
+            work.shock_nodes([element])
+        else:
+            work.shock_edges([element])
+        return before - network_efficiency(work).raw_efficiency / reference
 
     results: list[tuple] = []
     if kind is TargetKind.nodes:

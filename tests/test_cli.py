@@ -1,3 +1,4 @@
+import gzip
 import json
 from pathlib import Path
 
@@ -80,6 +81,32 @@ def test_ingest_year_with_no_relationships(tmp_path, capsys):
 def test_missing_file_exits_one(tmp_path, capsys):
     assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def truncated(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def bad_block_type(data: bytes) -> bytes:
+    # The first deflate byte after gzip's 10-byte header: final block, reserved type 11.
+    return data[:10] + b"\xff" + data[11:]
+
+
+def bad_checksum(data: bytes) -> bytes:
+    return data[:-8] + bytes([data[-8] ^ 0xFF]) + data[-7:]
+
+
+@pytest.mark.parametrize("corrupt", [truncated, bad_block_type, bad_checksum])
+@pytest.mark.parametrize("command", ["ingest", "efficiency", "impact"])
+def test_corrupt_or_truncated_gzip_exits_one_with_one_line(tmp_path, capsys, command, corrupt):
+    plain = write_fixture(tmp_path / "trade.csv").read_bytes()
+    data = tmp_path / "trade.csv.gz"
+    data.write_bytes(corrupt(gzip.compress(plain)))
+    assert main([command, "-i", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: corrupt or truncated gzip file {data}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
 
 
 def test_efficiency_uniform_complete_is_one(tmp_path, capsys):

@@ -173,15 +173,22 @@ INSERTION_FIXTURES = {
 }
 
 
+def shock(net: TradeNetwork, elements) -> TradeNetwork:
+    """Shock ``elements`` on ``net``, edges before nodes, so no edge goes with its endpoint."""
+    net.shock_edges([e for e in elements if not isinstance(e, str)])
+    return net.shock_nodes([e for e in elements if isinstance(e, str)])
+
+
 def replay_restores(net: TradeNetwork, batches: list[list]) -> None:
-    """Restore ``batches`` through an engine, checking it against full recompute after each.
+    """Restore ``batches``, updating an engine and checking it against full recompute after each.
 
     ``net`` holds every element of ``batches`` shocked; the restores end on the
     network with all of them active again.
     """
     engine = DistanceEngine(net, shortest_path_costs(net))
     for batch in batches:
-        engine.restore(batch)
+        net.restore(batch)
+        engine.update()
         assert np.array_equal(engine.costs, shortest_path_costs(net)), batch
         assert engine.raw_efficiency == network_efficiency(net).raw_efficiency, batch
 
@@ -259,18 +266,20 @@ def assert_engine_exact(engine: DistanceEngine, label) -> None:
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
 def test_remove_equals_full_recompute_after_every_element(make):
-    # Each element alone, put back by writing the saved matrix back and
-    # restoring the masks.
+    # Each element alone, shocked and updated, then restored and updated.
     net = make()
     nodes, edges = net.active_node_mask, net.active_edge_mask
     intact = shortest_path_costs(net)
     engine = DistanceEngine(net, intact.copy())
     for element in all_elements(net):
-        if not engine.remove([element]):
-            assert np.array_equal(engine.costs, intact), element
+        changes = has_tight_row(net, intact, element)
+        shock(net, [element])
+        engine.update()
         assert_engine_exact(engine, element)
-        np.copyto(engine.costs, intact)
+        assert changes or np.array_equal(engine.costs, intact), element
         net.restore([element])
+        engine.update()
+        assert np.array_equal(engine.costs, intact), element
     assert np.array_equal(net.active_node_mask, nodes)
     assert np.array_equal(net.active_edge_mask, edges)
 
@@ -286,7 +295,8 @@ def test_remove_equals_full_recompute_on_batches(make):
         engine = DistanceEngine(work, shortest_path_costs(work))
         for s in range(0, len(order), 7):
             batch = [elements[k] for k in order[s : s + 7]]
-            engine.remove(batch)
+            shock(work, batch)
+            engine.update()
             assert_engine_exact(engine, batch)
         assert work.n_active_edges == 0
 
@@ -298,14 +308,12 @@ def test_remove_then_restore_gives_back_the_matrix(make):
     intact = shortest_path_costs(net)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        # Edges before nodes, so no edge is shocked through an endpoint already removed.
-        batch = sorted(
-            (elements[k] for k in rng.choice(len(elements), 7, replace=False)),
-            key=lambda element: isinstance(element, str),
-        )
+        batch = [elements[k] for k in rng.choice(len(elements), 7, replace=False)]
         engine = DistanceEngine(net, intact.copy())
-        engine.remove(batch)
-        engine.restore(batch)
+        shock(net, batch)
+        engine.update()
+        net.restore(batch)
+        engine.update()
         assert np.array_equal(engine.costs, intact), batch
 
 
@@ -313,33 +321,13 @@ def test_remove_of_an_edge_tight_in_no_row_changes_nothing():
     # A -> B has length 1, the detour A -> C -> B only 0.2: no shortest path uses A -> B.
     net = build_network([("A", "B", 1.0), ("A", "C", 10.0), ("C", "B", 10.0)])
     intact = shortest_path_costs(net)
-    engine = DistanceEngine(net.fork(), intact.copy())
-    assert engine.remove([("A", "B")]) is False
-    assert np.array_equal(engine.costs, intact)
-    assert_engine_exact(engine, ("A", "B"))
-    assert DistanceEngine(net.fork(), intact.copy()).remove([("A", "C")]) is True
+    for edge, changes in ((("A", "B"), False), (("A", "C"), True)):
+        engine = DistanceEngine(net.fork(), intact.copy())
+        engine.net.shock_edges([edge])
+        engine.update()
+        assert_engine_exact(engine, edge)
+        assert np.array_equal(engine.costs, intact) is not changes, edge
     assert dict(rank_by_impact(net, "edges", 3))[("A", "B")] == 0.0
-
-
-@pytest.mark.parametrize(
-    "batch, error, message",
-    [
-        ([("A", "B"), "ZZZ"], ValueError, "unknown economy 'ZZZ'"),
-        (["C", ("C", "A")], ShockStateError, "edge 'C' -> 'A' is inactive via a shocked endpoint"),
-    ],
-)
-def test_a_rejected_removal_leaves_masks_and_costs_as_they_were(batch, error, message):
-    # The batch fails at its second element, after the first has been shocked.
-    net = build_network([("A", "B", 1.0), ("B", "C", 2.0), ("C", "A", 4.0)])
-    nodes, edges = net.active_node_mask, net.active_edge_mask
-    intact = shortest_path_costs(net)
-    engine = DistanceEngine(net, intact.copy())
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        engine.remove(batch)
-    assert np.array_equal(net.active_node_mask, nodes)
-    assert np.array_equal(net.active_edge_mask, edges)
-    assert np.array_equal(engine.costs, intact)
-    assert_engine_exact(engine, batch)
 
 
 def has_tight_row(net: TradeNetwork, costs: np.ndarray, element) -> bool:
@@ -356,10 +344,7 @@ def has_tight_row(net: TradeNetwork, costs: np.ndarray, element) -> bool:
 
 
 def shocked_fork(net: TradeNetwork, elements) -> TradeNetwork:
-    """A fork with ``elements`` shocked, edges before nodes, so no edge goes with its endpoint."""
-    work = net.fork()
-    work.shock_edges([e for e in elements if not isinstance(e, str)])
-    return work.shock_nodes([e for e in elements if isinstance(e, str)])
+    return shock(net.fork(), elements)
 
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
@@ -390,18 +375,18 @@ def active_elements(net: TradeNetwork) -> list:
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
 def test_without_of_several_elements_equals_full_recompute(make):
-    # Probes of three elements each, on a network that is already partly shocked.
+    # Probes of three elements each, on a network shocked since the engine's
+    # last update: without() updates it first.
     net = make()
     rng = np.random.default_rng(12)
     engine = DistanceEngine(net, shortest_path_costs(net))
-    engine.remove([net.codes[k] for k in rng.choice(net.n_nodes, 2, replace=False)])
+    net.shock_nodes([net.codes[k] for k in rng.choice(net.n_nodes, 2, replace=False)])
     active = active_elements(net)
     probes = [[active[k] for k in rng.choice(len(active), 3, replace=False)] for _ in range(20)]
-    costs = engine.costs.copy()
     for probe, raw in zip(probes, engine.without(probes)):
         full = network_efficiency(shocked_fork(net, probe)).raw_efficiency
         assert (engine.raw_efficiency if raw is None else raw) == full, probe
-    assert np.array_equal(engine.costs, costs)
+    assert_engine_exact(engine, "after without")
 
 
 @pytest.mark.parametrize(
@@ -416,7 +401,8 @@ def test_without_of_several_elements_equals_full_recompute(make):
 def test_without_rejects_unknown_and_inactive_elements(probe, error, message):
     net = build_network([("A", "B", 1.0), ("B", "C", 2.0), ("C", "A", 4.0), ("B", "A", 8.0)])
     engine = DistanceEngine(net, shortest_path_costs(net))
-    engine.remove(["C"])
+    net.shock_nodes(["C"])
+    engine.update()
     nodes, edges, costs = net.active_node_mask, net.active_edge_mask, engine.costs.copy()
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         engine.without([[("B", "A")], probe])
@@ -443,36 +429,64 @@ def tie_and_limit_networks(draw) -> TradeNetwork:
     return TradeNetwork(codes_for(n), weights)
 
 
+def some(elements):
+    return st.lists(st.sampled_from(elements), min_size=1, max_size=3, unique=True)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100)
 @given(tie_and_limit_networks(), st.data())
 def test_engine_equals_scipy_under_random_removes_restores_and_probes(net, data):
+    # A step shocks, restores, or both (restores first, so it may shock an
+    # edge the restore brought back), then updates or leaves its change to
+    # pile up for a later update; or it measures probes.
     engine = DistanceEngine(net, shortest_path_costs(net))
     shocked: list = []
     for _ in range(data.draw(st.integers(1, 8))):
-        active = active_elements(net)
-        step = data.draw(st.sampled_from(["remove", "restore", "without"]))
-        if step == "remove" and active:
-            batch = data.draw(st.lists(st.sampled_from(active), min_size=1, max_size=3, unique=True))
-            batch.sort(key=lambda element: isinstance(element, str))  # edges before nodes
-            costs = engine.costs.copy()
-            if not engine.remove(batch):
-                assert np.array_equal(engine.costs, costs), batch
-            shocked += batch
-        elif step == "restore" and shocked:
-            batch = data.draw(st.lists(st.sampled_from(shocked), min_size=1, max_size=3, unique=True))
-            engine.restore(batch)
+        step = data.draw(st.sampled_from(["shock", "restore", "mixed", "without"]))
+        if step in ("restore", "mixed") and shocked:
+            batch = data.draw(some(shocked))
+            net.restore(batch)
             shocked = [element for element in shocked if element not in batch]
-        elif step == "without" and active:
-            probe = st.lists(st.sampled_from(active), min_size=1, max_size=3, unique=True)
-            probes = data.draw(st.lists(probe, min_size=1, max_size=9))
-            costs, edges = engine.costs.copy(), net.active_edge_mask
+        active = active_elements(net)
+        if step in ("shock", "mixed") and active:
+            batch = data.draw(some(active))
+            shock(net, batch)
+            shocked += batch
+        if step == "without" and active:
+            probes = data.draw(st.lists(some(active), min_size=1, max_size=9))
+            edges = net.active_edge_mask
             for probe, raw in zip(probes, engine.without(probes)):
                 full = network_efficiency(shocked_fork(net, probe)).raw_efficiency
                 assert (engine.raw_efficiency if raw is None else raw) == full, probe
-            assert np.array_equal(engine.costs, costs)
             assert np.array_equal(net.active_edge_mask, edges)
-        assert np.array_equal(engine.costs, shortest_path_costs(net)), step
+        elif data.draw(st.booleans()):
+            engine.update()
+        if np.array_equal(engine.mask, net.active_edge_mask):
+            assert np.array_equal(engine.costs, shortest_path_costs(net)), step
+    engine.update()
+    assert_engine_exact(engine, "last update")
+
+
+@pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
+def test_one_update_after_several_mixed_mask_changes_equals_full_recompute(make):
+    # Each round makes one to three mask changes, each restoring up to 7
+    # shocked elements and shocking up to 7 active ones, then updates once.
+    net = make()
+    rng = np.random.default_rng(10)
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    shocked: list = []
+    for round_ in range(6):
+        for _ in range(int(rng.integers(1, 4))):
+            batch = [shocked[k] for k in rng.permutation(len(shocked))[: rng.integers(0, 8)]]
+            net.restore(batch)
+            shocked = [element for element in shocked if element not in batch]
+            active = active_elements(net)
+            batch = [active[k] for k in rng.permutation(len(active))[: rng.integers(0, 8)]]
+            shock(net, batch)
+            shocked += batch
+        engine.update()
+        assert_engine_exact(engine, round_)
 
 
 @pytest.mark.parametrize("make", REMOVAL_FIXTURES.values(), ids=REMOVAL_FIXTURES.keys())
@@ -486,8 +500,9 @@ def test_engine_graph_arrays_equal_scipy_csr_and_csc(make):
         edges = [(e.source, e.target) for e in net.active_edges()]
         nodes = [net.codes[i] for i in np.flatnonzero(net.active_node_mask)]
         batch = [edges[k] for k in rng.choice(len(edges), min(3, len(edges)), replace=False)]
-        batch.append(nodes[rng.integers(len(nodes))])  # after the edges: none behind it
-        engine.remove(batch)
+        batch.append(nodes[rng.integers(len(nodes))])
+        shock(net, batch)
+        engine.update()
         mask = net.active_edge_mask
         lengths = np.zeros(mask.shape)
         lengths[mask] = 1.0 / net.baseline_weights[mask]
@@ -509,10 +524,13 @@ def test_engine_builds_no_scipy_sparse_object(monkeypatch):
 
     monkeypatch.setattr(efficiency, "csr_matrix", refuse)
     for batch in ([("E003", "E004")], ["E002"], [("E000", "E001"), "E005"]):
-        assert engine.remove(batch) is True  # every batch changes some distance
-        costs = engine.costs.copy()
-        engine.restore(batch)
-        assert not np.array_equal(engine.costs, costs)
+        intact = engine.costs.copy()
+        shock(net, batch)
+        engine.update()
+        assert not np.array_equal(engine.costs, intact)  # every batch changes some distance
+        net.restore(batch)
+        engine.update()
+        assert np.array_equal(engine.costs, intact)
     monkeypatch.undo()
     assert_engine_exact(engine, "restored")
 
