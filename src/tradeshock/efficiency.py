@@ -100,14 +100,6 @@ def _raw_efficiency(costs: np.ndarray, year: int | None) -> float:
     return total / (n * (n - 1))
 
 
-def path_efficiency(net: TradeNetwork, source: str, target: str) -> float:
-    """Pair efficiency: reciprocal best-route length, 0 when unreachable."""
-    i, j = net.index_of(source), net.index_of(target)
-    if i == j:
-        raise ValueError(f"path efficiency is undefined for a node with itself ({source!r})")
-    return float(1.0 / shortest_path_costs(net, sources=i)[j])
-
-
 def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
     """Average pair efficiency over all ordered pairs of the full node set.
 

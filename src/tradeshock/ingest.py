@@ -4,9 +4,9 @@ File contract: UTF-8 comma-delimited text with the header row
 ``year,reporter,partner,flow,value_usd`` (column order free, extra columns
 ignored), '.' decimal separator, no thousands separators, and an optional
 leading byte-order mark. A path ending in ``.gz`` is gzip-compressed, for
-reading and for writing. Malformed rows are collected with their
-line numbers instead of aborting the parse; zero-value rows are dropped
-and counted.
+reading and for writing. Malformed rows, a line that is not UTF-8 among
+them, are collected with the line each starts on instead of aborting the
+parse; zero-value rows are dropped and counted.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import contextlib
 import csv
 import gzip
 import io
-import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -73,17 +72,19 @@ def _open(source: str | Path | io.TextIOBase, mode: str):
     if mode == "r" and not path.exists():
         raise TradeFileError(f"trade file not found: {path}")
     opener = gzip.open if path.suffix == ".gz" else open
-    return opener(path, mode + "t", encoding="utf-8", newline="")
+    # A byte that is not UTF-8 reads as a lone surrogate and fails only its row.
+    errors = "surrogateescape" if mode == "r" else "strict"
+    return opener(path, mode + "t", encoding="utf-8", errors=errors, newline="")
 
 
 def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
     """Parse a trade-record file or stream into validated records.
 
-    Row-level problems (bad numbers, unknown flow, bad year, a field the
-    ``csv`` module cannot read) land in ``row_errors`` with 1-based line
-    numbers and parsing continues at the next line. Only a missing,
-    unreadable or incomplete header, or a corrupt or truncated ``.gz``
-    file, is fatal.
+    Row-level problems (bad numbers, unknown flow, bad year, bytes that are
+    not UTF-8, a field the ``csv`` module cannot read) land in ``row_errors``
+    with the 1-based number of the physical line the row starts on, and
+    parsing continues at the next row. Only a missing, unreadable or
+    incomplete header, or a corrupt or truncated ``.gz`` file, is fatal.
     """
     try:
         return _parse_rows(source)
@@ -109,7 +110,8 @@ def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
             raise TradeFileError(f"missing required columns: {', '.join(missing)}")
         col = {name: names.index(name) for name in HEADER}
 
-        for lineno in itertools.count(2):
+        while True:
+            lineno = reader.line_num + 1  # the physical line the next row starts on
             try:
                 row = next(reader)
             except StopIteration:
@@ -117,6 +119,13 @@ def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
             except csv.Error as exc:  # e.g. a field past the csv module's size limit
                 report.row_errors.append((lineno, str(exc)))
                 continue
+            text = "".join(row)
+            if not text.isascii():  # the common case skips the encode
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    report.row_errors.append((lineno, "line is not valid UTF-8"))
+                    continue
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < len(names):
@@ -168,16 +177,6 @@ def build_yearly_networks(
             edge = (record.reporter, record.partner, record.value)
         by_year.setdefault(record.year, []).append(edge)
     return {year: build_network(by_year[year], year=year) for year in sorted(by_year)}
-
-
-def network_to_records(net: TradeNetwork) -> list[TradeRecord]:
-    """Active edges as import-flow records (round-trips through the parser)."""
-    if net.year is None:
-        raise ValueError("network has no year; cannot serialize to records")
-    return [
-        TradeRecord(net.year, reporter=e.target, partner=e.source, flow=FLOW_IMPORT, value=e.weight)
-        for e in net.active_edges()
-    ]
 
 
 def write_trade_file(records: Sequence[TradeRecord], dest: str | Path | io.TextIOBase) -> None:

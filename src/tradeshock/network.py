@@ -14,7 +14,7 @@ import copy
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -28,12 +28,6 @@ class ShockStateError(RuntimeError):
     Double-shocking or restoring an already-active element signals a
     scheduling bug in the caller, so it is an error rather than a no-op.
     """
-
-
-class TradeEdge(NamedTuple):
-    source: str
-    target: str
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -151,12 +145,6 @@ class TradeNetwork:
     def active_weights(self) -> np.ndarray:
         """Weight matrix with every inactive entry zeroed (fresh copy)."""
         return np.where(self.active_edge_mask, self._weights, 0.0)
-
-    def active_edges(self) -> Iterator[TradeEdge]:
-        """Active edges in (source index, target index) order."""
-        rows, cols = _ends(self.active_edge_mask)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            yield TradeEdge(self._codes[i], self._codes[j], float(self._weights[i, j]))
 
     def fork(self) -> "TradeNetwork":
         """Copy with private masks; the baseline matrix is shared read-only."""

@@ -31,21 +31,18 @@ class ResilienceReport:
     lone_rs: float
     resilience: float
     ne0: float
-    complete: bool
 
 
 def min_performance(trajectory: Trajectory) -> float:
     """R: minimum NE over every step after the disturbance begins."""
-    values = trajectory.ne[1:]
-    if not values:
-        raise ValueError("trajectory has no post-disturbance steps")
-    return min(values)
+    return min(trajectory.ne[1:])
 
 
-def _span(trajectory: Trajectory, phase: Phase, baseline_error: str) -> tuple[float, ...]:
-    """NE through one phase, starting at its anchor."""
+def _span(trajectory: Trajectory, phase: Phase, index: str) -> tuple[float, ...]:
+    """NE through one phase, starting at its anchor; ``index`` names the caller's index."""
+    phase = Phase(phase)
     if phase is Phase.baseline:
-        raise ValueError(baseline_error)
+        raise ValueError(f"{index} is defined for the shock and recovery phases")
     if phase is Phase.shock:
         return trajectory.ne[: trajectory.t_r + 1]
     return trajectory.ne[trajectory.t_r :]
@@ -57,10 +54,7 @@ def rate_of_change(trajectory: Trajectory, phase: Phase) -> tuple[float, ...]:
     The first difference is taken against the level the network held as the
     phase began, so a phase of k steps yields k differences.
     """
-    phase = Phase(phase)
-    span = _span(trajectory, phase, "rate of change is defined for the shock and recovery phases")
-    if len(span) < 2:
-        raise ValueError(f"trajectory has no {phase.value} steps")
+    span = _span(trajectory, phase, "rate of change")
     return tuple(b - a for a, b in zip(span, span[1:]))
 
 
@@ -69,26 +63,20 @@ def lone(trajectory: Trajectory, phase: Phase) -> float:
 
     Each step contributes (ne0 - NE(t)) for one unit of time.
     """
-    span = _span(trajectory, Phase(phase), "loss accumulates over the shock and recovery phases")
+    span = _span(trajectory, phase, "loss")
     return sum(trajectory.ne0 - v for v in span[1:])
 
 
 def summarize(trajectory: Trajectory) -> ResilienceReport:
-    """All indices for one trajectory; tolerates a missing recovery stage.
-
-    A trajectory that was never recovered reports roc_rs=() and lone_rs=0,
-    flags itself incomplete, and its resilience is the disruption loss alone.
-    """
-    has_recovery = len(trajectory.ne) > trajectory.t_r + 1
+    """All indices for one trajectory; each of its two phases has at least one step."""
     lone_ds = lone(trajectory, Phase.shock)
-    lone_rs = lone(trajectory, Phase.recovery) if has_recovery else 0.0
+    lone_rs = lone(trajectory, Phase.recovery)
     return ResilienceReport(
         r=min_performance(trajectory),
         roc_ds=rate_of_change(trajectory, Phase.shock),
-        roc_rs=rate_of_change(trajectory, Phase.recovery) if has_recovery else (),
+        roc_rs=rate_of_change(trajectory, Phase.recovery),
         lone_ds=lone_ds,
         lone_rs=lone_rs,
         resilience=lone_ds + lone_rs,
         ne0=trajectory.ne0,
-        complete=has_recovery,
     )

@@ -148,7 +148,8 @@ class Trajectory:
     """Normalized-efficiency series NE(t), one value per step t, by position.
 
     ``ne[0]`` is the baseline, ``ne[1:t_r + 1]`` the shock phase and
-    ``ne[t_r + 1:]`` the recovery phase. ``batches[t - 1]`` holds the
+    ``ne[t_r + 1:]`` the recovery phase; each phase has at least one step,
+    so ``1 <= t_r < len(ne) - 1``. ``batches[t - 1]`` holds the
     elements shocked or restored at step t; a mean over replicates has none.
     """
 
@@ -158,8 +159,11 @@ class Trajectory:
     reference_mean_weight: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.t_r < len(self.ne):
-            raise ValueError(f"t_r={self.t_r} lies outside [0, {len(self.ne)})")
+        if not 1 <= self.t_r < len(self.ne) - 1:
+            raise ValueError(
+                f"t_r={self.t_r} lies outside [1, {len(self.ne) - 1}): a trajectory "
+                "needs at least one shock step and one recovery step"
+            )
 
     @property
     def ne0(self) -> float:

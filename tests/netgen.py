@@ -4,13 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from tradeshock import TradeNetwork, Trajectory
+from tradeshock import FLOW_IMPORT, TradeNetwork, TradeRecord, Trajectory
 
 GRID = 2.0**-20  # all values multiples of this stay exactly representable
 
 
 def codes_for(n: int) -> tuple[str, ...]:
     return tuple(f"E{i:03d}" for i in range(n))
+
+
+def active_edges(net: TradeNetwork) -> list[tuple[str, str, float]]:
+    """Active edges as (source, target, weight), in row-major order of the weight matrix."""
+    return [
+        (net.code_of(i), net.code_of(j), float(net.baseline_weights[i, j]))
+        for i, j in np.argwhere(net.active_edge_mask).tolist()
+    ]
+
+
+def network_to_records(net: TradeNetwork) -> list[TradeRecord]:
+    """Active edges of a network with a year as import-flow records (they round-trip)."""
+    return [
+        TradeRecord(net.year, reporter=target, partner=source, flow=FLOW_IMPORT, value=weight)
+        for source, target, weight in active_edges(net)
+    ]
 
 
 def random_network(

@@ -42,6 +42,8 @@ from tradeshock import (
 from tradeshock.centrality import _node_scores
 from tradeshock.simulation import _apply_shock, child_seed
 
+from netgen import active_edges
+
 
 def _adjacency(net: TradeNetwork) -> list[list[tuple[int, float]]]:
     mask = net.active_edge_mask
@@ -305,18 +307,18 @@ def sorted_rank_edges(
     kind = IndicatorKind(indicator)
     if kind not in EDGE_INDICATORS:
         raise ValueError(f"{kind.value} does not rank edges")
-    edges = list(net.active_edges())
+    edges = active_edges(net)
     if kind is IndicatorKind.edge_weight:
-        scores = [e.weight for e in edges]
+        scores = [weight for _, _, weight in edges]
     else:
         rng = np.random.default_rng(0 if seed is None else seed)
         scores = rng.random(len(edges)).tolist()
     order = sorted(
-        range(len(edges)), key=lambda k_: (-scores[k_], edges[k_].source, edges[k_].target)
+        range(len(edges)), key=lambda k_: (-scores[k_], edges[k_][0], edges[k_][1])
     )
     return InfluenceRanking(
         kind,
-        tuple((edges[k_].source, edges[k_].target) for k_ in order),
+        tuple((edges[k_][0], edges[k_][1]) for k_ in order),
         tuple(float(scores[k_]) for k_ in order),
         seed,
     )
@@ -358,8 +360,8 @@ def sorted_rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_
         results.sort(key=lambda item: (-item[1], -item[2], item[0]))
         return [(code, impact) for code, impact, _ in results[:top_k]]
 
-    for edge in net.active_edges():
-        pair = (edge.source, edge.target)
+    for source, target, _ in active_edges(net):
+        pair = (source, target)
         results.append((pair, impact_of(pair)))
     results.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
     return results[:top_k]

@@ -28,7 +28,6 @@ from tradeshock import (
     lone,
     min_performance,
     network_efficiency,
-    network_to_records,
     pagerank,
     rank_edges,
     rank_nodes,
@@ -233,7 +232,7 @@ def test_criterion_8_manifest_determinism(tmp_path):
         rng = np.random.default_rng(808)
         net = netgen.connected_random_network(rng, 16, year=2015)
         data = tmp_path / "trade.csv"
-        write_trade_file(network_to_records(net), data)
+        write_trade_file(netgen.network_to_records(net), data)
         scenarios = [
             {"target_kind": "nodes", "indicator": "out_degree"},
             {"target_kind": "nodes", "indicator": "betweenness"},

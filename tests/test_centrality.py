@@ -25,6 +25,7 @@ from tradeshock import (
 )
 
 from netgen import (
+    active_edges,
     codes_for,
     complete_uniform_network,
     connected_random_network,
@@ -141,7 +142,7 @@ def shocked_fork() -> TradeNetwork:
     """A strongly connected 30-node net with two nodes and every 7th edge shocked."""
     net = connected_random_network(np.random.default_rng(17), 30).fork()
     net.shock_nodes(["E003", "E011"])
-    net.shock_edges([(e.source, e.target) for e in net.active_edges()][::7])
+    net.shock_edges([(s, t) for s, t, _ in active_edges(net)][::7])
     return net
 
 

@@ -68,6 +68,21 @@ def test_ingest_summary_names_a_field_past_the_csv_limit(tmp_path, capsys):
     assert captured.out.splitlines()[1] == "2001,3,2,12.0,0.3333333333333333"
 
 
+def test_ingest_summary_names_a_line_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "trade.csv"
+    data.write_bytes(
+        b"year,reporter,partner,flow,value_usd\n"
+        b"2001,USA,CHN,import,5\n"
+        b"2001,C\xffN,USA,import,3\n"
+        b"2001,DEU,CHN,import,7\n"
+    )
+    assert main(["ingest", "--input", str(data), "--summary"]) == 0
+    captured = capsys.readouterr()
+    assert "2 records parsed, 1 malformed rows" in captured.err
+    assert f"{data}:3: line is not valid UTF-8" in captured.err.splitlines()
+    assert captured.out.splitlines()[1] == "2001,3,2,12.0,0.3333333333333333"
+
+
 def test_ingest_year_with_no_relationships(tmp_path, capsys):
     data = tmp_path / "trade.csv"
     data.write_text(

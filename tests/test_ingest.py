@@ -7,10 +7,11 @@ from tradeshock import (
     TradeFileError,
     TradeRecord,
     build_yearly_networks,
-    network_to_records,
     parse_trade_file,
     write_trade_file,
 )
+
+from netgen import network_to_records
 
 CANONICAL = """\
 year,reporter,partner,flow,value_usd
@@ -91,6 +92,46 @@ def test_field_past_the_csv_limit_is_a_row_error():
 def test_field_past_the_csv_limit_in_the_header_is_fatal():
     with pytest.raises(TradeFileError, match="header"):
         parse_trade_file(io.StringIO(f"year,{LONG_FIELD},partner,flow,value_usd\n"))
+
+
+NOT_UTF8 = (
+    b"year,reporter,partner,flow,value_usd\n"
+    b"2001,USA,CHN,import,5\n"
+    b"2001,C\xffN,USA,import,3\n"
+    b"2002,DEU,CHN,import,7\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["path", "gzip", "stream"])
+def test_line_that_is_not_utf8_is_a_row_error(tmp_path, kind):
+    if kind == "stream":
+        source = io.TextIOWrapper(
+            io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape", newline=""
+        )
+    elif kind == "path":
+        source = tmp_path / "bad.csv"
+        source.write_bytes(NOT_UTF8)
+    else:
+        source = tmp_path / "bad.csv.gz"
+        source.write_bytes(gzip.compress(NOT_UTF8))
+    report = parse_trade_file(source)
+    assert report.row_errors == [(3, "line is not valid UTF-8")]
+    assert report.records == [
+        TradeRecord(2001, "USA", "CHN", "import", 5.0),
+        TradeRecord(2002, "DEU", "CHN", "import", 7.0),
+    ]
+
+
+def test_row_errors_name_the_physical_line_after_a_multiline_field():
+    text = (
+        "year,reporter,partner,flow,value_usd,note\n"
+        '2001,USA,CHN,import,5,"two\nlines"\n'
+        "2001,DEU,CHN,import,7,\n"
+        "2001,JPN,CHN,import,x,\n"
+    )
+    report = parse_trade_file(io.StringIO(text))
+    assert [lineno for lineno, _ in report.row_errors] == [5]
+    assert len(report.records) == 2
 
 
 def test_zero_value_rows_dropped_and_counted():
@@ -193,11 +234,3 @@ def test_byte_order_mark_is_ignored(tmp_path, kind):
         return path
 
     assert parse_trade_file(source(BOM + CANONICAL)) == parse_trade_file(source(CANONICAL))
-
-
-def test_network_without_year_cannot_serialize():
-    from tradeshock import build_network
-
-    net = build_network([("A", "B", 1.0)])
-    with pytest.raises(ValueError, match="year"):
-        network_to_records(net)

@@ -3,7 +3,7 @@ import pytest
 
 from tradeshock import ShockStateError, TradeNetwork, build_network
 
-from netgen import codes_for, random_network
+from netgen import active_edges, codes_for, random_network
 from oracles import sequential_restore, sequential_shock_edges, sequential_shock_nodes
 
 
@@ -133,7 +133,7 @@ def test_batch_updates_equal_the_one_at_a_time_loop(update, sequential, kinds):
     rng = np.random.default_rng(17)
     net = random_network(rng, 7, 0.4)
     codes = [*net.codes, "ZZZ"]
-    edges = [(e.source, e.target) for e in net.active_edges()]
+    edges = [(s, t) for s, t, _ in active_edges(net)]
     pairs = edges + [("E000", "E000"), ("E001", "ZZZ"), ("ZZZ", "E002")]  # no edge, unknown
     errors = 0
     for _ in range(400):
@@ -188,7 +188,7 @@ def test_restore_roundtrip_is_bit_exact():
     before = net.active_weights()
     nodes = [net.code_of(i) for i in (1, 4, 7)]
     net.shock_nodes(nodes)
-    edges = [(e.source, e.target) for e in list(net.active_edges())[:3]]
+    edges = [(s, t) for s, t, _ in active_edges(net)[:3]]
     net.shock_edges(edges)
     assert net.n_active_nodes == 9
     net.restore(nodes)

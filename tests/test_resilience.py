@@ -46,7 +46,6 @@ def test_hand_fixture_areas():
     assert report.resilience == lone_ds + lone_rs
     assert report.resilience == pytest.approx(1.7, abs=1e-12)
     assert report.ne0 == 1.0
-    assert report.complete
 
 
 def test_constant_trajectory_is_lossless():
@@ -76,27 +75,6 @@ def test_rate_of_change_rejects_baseline_phase():
         rate_of_change(HAND, Phase.baseline)
     with pytest.raises(ValueError):
         lone(HAND, Phase.baseline)
-
-
-def test_empty_phase_rejected():
-    shock_only = make_trajectory(1.0, [0.4], [])
-    with pytest.raises(ValueError):
-        rate_of_change(shock_only, Phase.recovery)
-
-
-def test_baseline_only_trajectory_has_no_minimum():
-    traj = make_trajectory(1.0, [], [])
-    with pytest.raises(ValueError):
-        min_performance(traj)
-
-
-def test_incomplete_trajectory_flagged_partial():
-    traj = make_trajectory(1.0, [0.5, 0.25], [])
-    report = summarize(traj)
-    assert not report.complete
-    assert report.roc_rs == ()
-    assert report.lone_rs == 0.0
-    assert report.resilience == report.lone_ds
 
 
 def test_telescoping_and_additivity_exact_on_grid_trajectories():
@@ -136,6 +114,5 @@ def test_simulated_trajectory_report_is_consistent():
     assert report.r <= report.ne0
     assert report.lone_ds >= 0.0
     assert report.lone_rs >= 0.0
-    assert report.complete
     # recovery ends where it started, so its rates telescope to R..ne0
     assert sum(report.roc_rs) == pytest.approx(report.ne0 - traj.ne[traj.t_r], abs=1e-12)

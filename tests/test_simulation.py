@@ -26,6 +26,7 @@ from tradeshock import (
 )
 
 from netgen import (
+    active_edges,
     codes_for,
     connected_random_network,
     hub_network,
@@ -135,10 +136,21 @@ def test_phases_are_contiguous_and_marked(medium_net):
     assert len(traj.batches) == len(traj.ne) - 1
 
 
-@pytest.mark.parametrize("t_r", [-1, 3])
-def test_trajectory_rejects_a_peak_outside_its_series(t_r):
-    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-        Trajectory((1.0, 0.5, 1.0), t_r, (), 1.0)
+@pytest.mark.parametrize(
+    "ne, t_r",
+    [
+        pytest.param((1.0, 0.5, 1.0), -1, id="-1"),
+        pytest.param((1.0, 0.5, 1.0), 0, id="0"),  # no shock step
+        pytest.param((1.0, 0.5, 1.0), 2, id="2"),  # no recovery step
+        pytest.param((1.0, 0.5, 1.0), 3, id="3"),
+        pytest.param((1.0, 0.4), 1, id="shock_only"),
+        pytest.param((1.0, 0.5, 0.25), 2, id="never_recovered"),
+        pytest.param((1.0,), 0, id="baseline_only"),
+    ],
+)
+def test_trajectory_rejects_a_peak_outside_its_series(ne, t_r):
+    with pytest.raises(ValueError, match=r"one shock step and one recovery step"):
+        Trajectory(ne, t_r, (), 1.0)
 
 
 def test_restoration_identity_is_bit_exact(medium_net):
@@ -182,8 +194,8 @@ def test_edge_scenario_runs_and_restores(medium_net):
     shocked = shocked_and_restored(traj)[0]
     assert len(shocked) == math.ceil(0.5 * medium_net.n_edges)
     # heaviest relationship goes first
-    heaviest = max(medium_net.active_edges(), key=lambda e: e.weight)
-    assert shocked[0] == (heaviest.source, heaviest.target)
+    source, target, _ = max(active_edges(medium_net), key=lambda e: e[2])
+    assert shocked[0] == (source, target)
 
 
 def test_baseline_network_is_untouched(medium_net):
