@@ -244,7 +244,10 @@ def _run_one(
 
 def _load_manifest(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"manifest {path} is nested too deeply to read") from None
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object")
     unknown = sorted(set(manifest) - set(_MANIFEST_KEYS))

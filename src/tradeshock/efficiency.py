@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .network import ShockStateError, TradeNetwork, _ends, _in_year
+from .network import TradeNetwork, _ends, _in_year
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ class DistanceEngine:
     A what-if removal is the same pass on a copy of ``costs`` over the intact
     graph with the removed edges set to length ``inf``: such an edge is
     never tight with a finite candidate and never improves an entry. The
-    probes of :meth:`without` share one graph, stacked in layers, and run
-    their passes in lockstep, one layer each.
+    probes of :meth:`without` come as index arrays of their removed edges;
+    they share one graph, stacked in layers, and run their passes in
+    lockstep, one layer each.
     """
 
     def __init__(self, net: TradeNetwork, costs: np.ndarray):
@@ -224,28 +225,27 @@ class DistanceEngine:
         self.mask = after
 
     @np.errstate(over="ignore")
-    def without(self, probes) -> list[float | None]:
-        """Raw efficiency of ``net`` with each probe's elements removed alone.
+    def without(
+        self, owner: np.ndarray, tails: np.ndarray, heads: np.ndarray, n_probes: int
+    ) -> np.ndarray:
+        """Raw efficiency of ``net`` with each of ``n_probes`` probes' edges removed alone.
 
-        A probe is a collection of active elements: node codes and edges.
-        Its entry is None when no distance can change, so the raw efficiency
-        stays :attr:`raw_efficiency`. It calls :meth:`update` first, then
-        leaves the masks and ``costs`` as they are. An unknown code raises
-        ValueError and an inactive element ShockStateError, before any probe
-        runs.
+        Probe ``owner[k]`` removes the active edge ``tails[k] -> heads[k]``;
+        ``owner`` is sorted. It calls :meth:`update` first, then leaves the
+        masks and ``costs`` as they are.
 
         One seed test against ``costs`` settles every probe that marks no
-        entry. The others run in lockstep, :data:`_PROBES_PER_PASS` at a
-        time, each in a layer of one buffer that starts as ``costs``; after
-        each pass only the entries it marked are written back.
+        entry: no distance changes, so it reads :attr:`raw_efficiency`. The
+        others run in lockstep, :data:`_PROBES_PER_PASS` at a time, each in
+        a layer of one buffer that starts as ``costs``; after each pass only
+        the entries it marked are written back.
         """
         self.update()
         n, mask = self.net.n_nodes, self.mask
-        owner, tails, heads = self._probe_edges(probes, mask)
-        hit = np.zeros(len(probes), dtype=bool)
+        hit = np.zeros(n_probes, dtype=bool)
         for edges, _ in self._tight(tails, heads):
             hit[owner[edges]] = True
-        results: list[float | None] = [None] * len(probes)
+        results = np.full(n_probes, self.raw_efficiency)
         keep = hit[owner]  # the removed edges of the probes that run
         owner, tails, heads, live = owner[keep], tails[keep], heads[keep], np.flatnonzero(hit)
         if live.size == 0:
@@ -278,36 +278,6 @@ class DistanceEngine:
             out_layers.data[out_at] = out.data[out_slots[lo:hi]]
             in_layers.data[in_at] = into.data[in_slots[lo:hi]]
         return results
-
-    def _probe_edges(self, probes, mask: np.ndarray):
-        """The edges of ``mask`` each probe removes: ``owner`` (probe), ``tails``, ``heads``.
-
-        A node removes all of its edges. The arrays are in probe order.
-        """
-        net, nodes = self.net, self.net.active_node_mask
-        owner: list[int] = []
-        tails: list[int] = []
-        heads: list[int] = []
-        for probe, elements in enumerate(probes):
-            for element in elements:
-                if isinstance(element, str):
-                    i = net.index_of(element)
-                    if not nodes[i]:
-                        raise ShockStateError(f"node {element!r} is not active")
-                    out = np.flatnonzero(mask[i]).tolist()
-                    into = np.flatnonzero(mask[:, i]).tolist()
-                    tails += [i] * len(out) + into
-                    heads += out + [i] * len(into)
-                    owner += [probe] * (len(out) + len(into))
-                else:
-                    source, target = element
-                    i, j = net.index_of(source), net.index_of(target)
-                    if not mask[i, j]:
-                        raise ShockStateError(f"edge {source!r} -> {target!r} is not active")
-                    tails.append(i)
-                    heads.append(j)
-                    owner.append(probe)
-        return tuple(np.array(column, dtype=np.intp) for column in (owner, tails, heads))
 
     def _candidates(self, tails: np.ndarray, heads: np.ndarray):
         """Per N edges ``(u, v)`` from edge ``s``: ``s``, entries ``(i, v)`` and ``fl(D[i, u] + l)``.

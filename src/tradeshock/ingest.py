@@ -81,10 +81,11 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
     """Parse a trade-record file or stream into validated records.
 
     Row-level problems (bad numbers, unknown flow, bad year, bytes that are
-    not UTF-8, a field the ``csv`` module cannot read) land in ``row_errors``
-    with the 1-based number of the physical line the row starts on, and
-    parsing continues at the next row. Only a missing, unreadable or
-    incomplete header, or a corrupt or truncated ``.gz`` file, is fatal.
+    not UTF-8, a quote that does not close, a field the ``csv`` module
+    cannot read) land in ``row_errors`` with the 1-based number of the
+    physical line the row starts on, and parsing continues at the next row.
+    Only a missing, unreadable, incomplete or non-UTF-8 header, or a
+    corrupt or truncated ``.gz`` file, is fatal.
     """
     try:
         return _parse_rows(source)
@@ -95,13 +96,15 @@ def parse_trade_file(source: str | Path | io.TextIOBase) -> ParseReport:
 def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
     report = ParseReport()
     with _open(source, "r") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)  # an unclosed quote is an error, not a field
         try:
             header = next(reader)
         except StopIteration:
             raise TradeFileError("empty file: header row is required") from None
         except csv.Error as exc:
             raise TradeFileError(f"unreadable header row: {exc}") from None
+        if not _is_utf8("".join(header)):
+            raise TradeFileError("header row is not valid UTF-8")
         if header:  # a byte-order mark, as spreadsheet "CSV UTF-8" exports write one
             header[0] = header[0].removeprefix("\ufeff")
         names = [h.strip().lower() for h in header]
@@ -116,16 +119,13 @@ def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
                 row = next(reader)
             except StopIteration:
                 break
-            except csv.Error as exc:  # e.g. a field past the csv module's size limit
+            except csv.Error as exc:  # bad quoting, or a field past the csv module's size limit
                 report.row_errors.append((lineno, str(exc)))
                 continue
             text = "".join(row)
-            if not text.isascii():  # the common case skips the encode
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError:
-                    report.row_errors.append((lineno, "line is not valid UTF-8"))
-                    continue
+            if not text.isascii() and not _is_utf8(text):  # the common case skips the encode
+                report.row_errors.append((lineno, "line is not valid UTF-8"))
+                continue
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < len(names):
@@ -153,6 +153,15 @@ def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
                 continue
             report.records.append(record)
     return report
+
+
+def _is_utf8(text: str) -> bool:
+    """Whether ``text`` holds no byte that was not UTF-8 (read as a lone surrogate)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def build_yearly_networks(

@@ -345,22 +345,16 @@ def rank_by_impact(net: TradeNetwork, target_kind: TargetKind | str, top_k: int)
         raise ValueError("impact needs a network with at least one active edge")
     engine = DistanceEngine(net, shortest_path_costs(net))
     before = engine.raw_efficiency / reference
-
-    def impacts_of(elements) -> list[float]:
-        # A removal that changes no distance leaves the efficiency as it was.
-        raws = engine.without([[element] for element in elements])
-        return [0.0 if raw is None else before - raw / reference for raw in raws]
-
-    codes = net.codes
+    codes, (tails, heads) = net.codes, _ends(net.active_edge_mask)
+    if kind is TargetKind.nodes:  # a node removes its out-edges, then its in-edges
+        ends = np.concatenate([tails, heads])
+        by_node = np.argsort(ends, kind="stable")
+        probes = ends[by_node], np.tile(tails, 2)[by_node], np.tile(heads, 2)[by_node], net.n_nodes
+    else:
+        probes = np.arange(tails.size), tails, heads, tails.size
+    impacts = before - engine.without(*probes) / reference
     if kind is TargetKind.nodes:
-        active = np.flatnonzero(net.active_node_mask)
-        impacts = np.zeros(net.n_nodes)
-        impacts[active] = impacts_of([codes[i] for i in active.tolist()])
         order = node_order(net, impacts)[:top_k].tolist()
         return [(codes[i], float(impacts[i])) for i in order]
-
-    tails, heads = _ends(net.active_edge_mask)
-    pairs = zip(tails.tolist(), heads.tolist())
-    impacts = np.array(impacts_of((codes[i], codes[j]) for i, j in pairs))
     order = edge_order(net, impacts, tails, heads)[:top_k].tolist()
     return [((codes[tails[k]], codes[heads[k]]), float(impacts[k])) for k in order]

@@ -21,6 +21,28 @@ def active_edges(net: TradeNetwork) -> list[tuple[str, str, float]]:
     ]
 
 
+def probe_edges(net: TradeNetwork, probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probes of elements as the ``(owner, tails, heads)`` arrays of ``DistanceEngine.without``.
+
+    An edge probe removes that edge; a node removes its active out-edges and
+    in-edges. ``owner[k]`` is the probe that removes edge ``tails[k] -> heads[k]``.
+    """
+    mask = net.active_edge_mask
+    owner, tails, heads = [], [], []
+    for probe, elements in enumerate(probes):
+        for element in elements:
+            if isinstance(element, str):
+                i = net.index_of(element)
+                out, into = np.flatnonzero(mask[i]).tolist(), np.flatnonzero(mask[:, i]).tolist()
+                pairs = [(i, j) for j in out] + [(j, i) for j in into]
+            else:
+                pairs = [(net.index_of(element[0]), net.index_of(element[1]))]
+            owner += [probe] * len(pairs)
+            tails += [t for t, _ in pairs]
+            heads += [h for _, h in pairs]
+    return tuple(np.array(column, dtype=np.intp) for column in (owner, tails, heads))
+
+
 def network_to_records(net: TradeNetwork) -> list[TradeRecord]:
     """Active edges of a network with a year as import-flow records (they round-trip)."""
     return [

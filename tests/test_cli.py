@@ -83,6 +83,27 @@ def test_ingest_summary_names_a_line_that_is_not_utf8(tmp_path, capsys):
     assert captured.out.splitlines()[1] == "2001,3,2,12.0,0.3333333333333333"
 
 
+def test_ingest_summary_names_an_unclosed_quote_on_the_last_line(tmp_path, capsys):
+    data = tmp_path / "trade.csv"
+    data.write_text(
+        'year,reporter,partner,flow,value_usd\n2001,USA,CHN,import,5\n2001,CHN,USA,import,"3\n',
+        encoding="utf-8",
+    )
+    assert main(["ingest", "--input", str(data), "--summary"]) == 0
+    captured = capsys.readouterr()
+    assert "1 records parsed, 1 malformed rows" in captured.err
+    assert f"{data}:3: " in captured.err
+
+
+def test_header_that_is_not_utf8_exits_one_with_one_line(tmp_path, capsys):
+    data = tmp_path / "trade.csv"
+    data.write_bytes(b"year,rep\xffrter,partner,flow,value_usd\n2001,USA,CHN,import,5\n")
+    assert main(["ingest", "--input", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: header row is not valid UTF-8\n"
+    assert captured.out == ""
+
+
 def test_ingest_year_with_no_relationships(tmp_path, capsys):
     data = tmp_path / "trade.csv"
     data.write_text(
@@ -685,6 +706,15 @@ def test_simulate_rejects_bad_manifest(tmp_path, capsys):
     manifest_path.write_text(json.dumps({"input": "x.csv"}), encoding="utf-8")
     assert main(["simulate", "--manifest", str(manifest_path)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_manifest_nested_too_deeply(tmp_path, capsys):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text('{"input": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: manifest {manifest_path} is nested too deeply to read\n"
+    assert captured.out == ""
 
 
 def test_simulate_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys):

@@ -102,24 +102,70 @@ NOT_UTF8 = (
 )
 
 
+def trade_source(tmp_path, kind: str, data: bytes):
+    """``data`` as a plain path, a ``.gz`` path or a text stream read as a path is."""
+    if kind == "stream":
+        return io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline=""
+        )
+    if kind == "path":
+        source = tmp_path / "trade.csv"
+        source.write_bytes(data)
+        return source
+    source = tmp_path / "trade.csv.gz"
+    source.write_bytes(gzip.compress(data))
+    return source
+
+
 @pytest.mark.parametrize("kind", ["path", "gzip", "stream"])
 def test_line_that_is_not_utf8_is_a_row_error(tmp_path, kind):
-    if kind == "stream":
-        source = io.TextIOWrapper(
-            io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape", newline=""
-        )
-    elif kind == "path":
-        source = tmp_path / "bad.csv"
-        source.write_bytes(NOT_UTF8)
-    else:
-        source = tmp_path / "bad.csv.gz"
-        source.write_bytes(gzip.compress(NOT_UTF8))
-    report = parse_trade_file(source)
+    report = parse_trade_file(trade_source(tmp_path, kind, NOT_UTF8))
     assert report.row_errors == [(3, "line is not valid UTF-8")]
     assert report.records == [
         TradeRecord(2001, "USA", "CHN", "import", 5.0),
         TradeRecord(2002, "DEU", "CHN", "import", 7.0),
     ]
+
+
+HEADER_ROW = b"year,reporter,partner,flow,value_usd\n"
+QUOTE_FAULTS = {
+    # An unclosed quote on the last line: a lax reader takes it as the value 3.
+    "last_line_unclosed": (
+        HEADER_ROW + b"2001,USA,CHN,import,5\n2001,CHN,USA,import,\"3\n",
+        [(3, "end of data")],
+        [TradeRecord(2001, "USA", "CHN", "import", 5.0)],
+    ),
+    # Mid-file, the open quote runs to the end: one error naming the line it opens on.
+    "mid_file_unclosed": (
+        HEADER_ROW + b"2001,USA,CHN,import,\"5\n2001,CHN,USA,import,3\n2002,DEU,CHN,import,7\n",
+        [(2, "end of data")],
+        [],
+    ),
+    # Text after a closing quote: a lax reader takes it as USAX.
+    "text_after_quote": (
+        HEADER_ROW + b'2001,"USA"X,CHN,import,5\n2002,DEU,CHN,import,7\n',
+        [(2, "expected after")],
+        [TradeRecord(2002, "DEU", "CHN", "import", 7.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", QUOTE_FAULTS.values(), ids=QUOTE_FAULTS.keys())
+@pytest.mark.parametrize("kind", ["path", "gzip", "stream"])
+def test_bad_quoting_is_a_row_error(tmp_path, kind, fault):
+    data, errors, records = fault
+    report = parse_trade_file(trade_source(tmp_path, kind, data))
+    assert [line for line, _ in report.row_errors] == [line for line, _ in errors]
+    for (_, message), (_, part) in zip(report.row_errors, errors):
+        assert part in message
+    assert report.records == records
+
+
+@pytest.mark.parametrize("kind", ["path", "gzip", "stream"])
+def test_header_that_is_not_utf8_is_fatal(tmp_path, kind):
+    data = b"year,rep\xffrter,partner,flow,value_usd\n2001,USA,CHN,import,5\n"
+    with pytest.raises(TradeFileError, match="^header row is not valid UTF-8$"):
+        parse_trade_file(trade_source(tmp_path, kind, data))
 
 
 def test_row_errors_name_the_physical_line_after_a_multiline_field():
