@@ -28,10 +28,10 @@ import os
 import sys
 import tempfile
 import zlib
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, NoReturn, Sequence, get_type_hints
 
 from .centrality import IndicatorKind, rank_edges, rank_nodes
 from .efficiency import network_efficiency
@@ -45,6 +45,7 @@ from .simulation import (
     child_seed,
     plan_scenario,
     rank_by_impact,
+    read_dataclass,
     run_random_control,
     run_shock_recovery,
 )
@@ -52,7 +53,6 @@ from .simulation import (
 # Resilience columns of reports.csv and summary.json; each lower-cased is a ResilienceReport field.
 _REPORT_COLUMNS = ("R", "LONE_DS", "LONE_RS", "Resilience", "NE0")
 _TRAJECTORY_HEADER = ("run_id", "year", "indicator", "target_kind", "t", "phase", "NE", "NE_std")
-_MANIFEST_KEYS = ("input", "output_dir", "scenarios", "flow", "years", "master_seed", "jobs")
 
 
 def _fmt(x: float) -> str:
@@ -242,26 +242,43 @@ def _run_one(
     }
 
 
-def _load_manifest(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            manifest = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"manifest {path} is nested too deeply to read") from None
-    if not isinstance(manifest, dict):
-        raise ValueError("manifest must be a JSON object")
-    unknown = sorted(set(manifest) - set(_MANIFEST_KEYS))
-    if unknown:
-        raise ValueError(f"manifest has unknown key {unknown[0]!r}")
-    for key in ("input", "output_dir", "scenarios"):
-        if key not in manifest:
-            raise ValueError(f"manifest is missing {key!r}")
-    for key in ("input", "output_dir"):
-        if not isinstance(manifest[key], str):
-            raise ValueError(f"manifest has {key}={manifest[key]!r}, expected str")
-    if not isinstance(manifest["scenarios"], list) or not manifest["scenarios"]:
-        raise ValueError("manifest needs a non-empty scenarios list")
-    return manifest
+@dataclass(frozen=True)
+class Manifest:
+    """A ``simulate`` manifest, or the one its flags build; ``years`` ends as a ``--years`` spec."""
+
+    input: str
+    output_dir: str
+    scenarios: list
+    flow: str = "import"
+    years: object = "all"
+    master_seed: int = 0
+    jobs: int = 1  # accepted from older manifests and ignored: scenarios run one after another
+
+    def __post_init__(self) -> None:
+        if not self.scenarios:
+            raise ValueError("needs a non-empty scenarios list")
+        if self.master_seed < 0:
+            raise ValueError(f"needs master_seed >= 0, got {self.master_seed}")
+        if self.jobs < 1:
+            raise ValueError(f"needs jobs >= 1, got {self.jobs}")
+        if isinstance(self.years, list) and all(type(y) is int for y in self.years):
+            object.__setattr__(self, "years", ",".join(map(str, self.years)))
+        elif not isinstance(self.years, str):
+            raise ValueError(
+                f"has years={self.years!r}, expected 'all', a year spec or a list of integers"
+            )
+
+
+def _load_manifest(path: str) -> object:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError(f"manifest {path} is nested too deeply to read") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"manifest {path} is not valid UTF-8 at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"manifest {path} is not valid JSON: {exc}") from None
 
 
 def _manifest_from_flags(args: argparse.Namespace) -> dict:
@@ -274,7 +291,7 @@ def _manifest_from_flags(args: argparse.Namespace) -> dict:
     return {
         "input": args.input,
         "flow": args.flow,
-        "years": args.years if args.years else "all",
+        "years": "all" if args.years is None else args.years,
         "output_dir": args.output_dir,
         "master_seed": args.seed,
         "scenarios": [
@@ -284,40 +301,19 @@ def _manifest_from_flags(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.manifest is not None:
-        manifest = _load_manifest(args.manifest)
-    else:
-        manifest = _manifest_from_flags(args)
+    raw = _load_manifest(args.manifest) if args.manifest is not None else _manifest_from_flags(args)
+    try:
+        manifest = read_dataclass(Manifest, raw)
+    except ValueError as exc:
+        raise ValueError(f"manifest {exc}") from None
+    out_dir = Path(manifest.output_dir)
 
-    flow = manifest.get("flow", "import")
-    if flow not in FLOWS:
-        raise ValueError(f"flow must be one of {sorted(FLOWS)}, got {flow!r}")
-    master_seed = manifest.get("master_seed", 0)
-    if type(master_seed) is not int or master_seed < 0:
-        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
-    # Scenarios run one after another; "jobs" is still accepted from older manifests.
-    jobs = manifest.get("jobs", 1)
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    years_field = manifest.get("years", "all")
-    if isinstance(years_field, list) and all(type(y) is int for y in years_field):
-        years_text = ",".join(map(str, years_field))
-    elif isinstance(years_field, str):
-        years_text = years_field
-    else:
-        raise ValueError(
-            f"manifest has years={years_field!r}, expected 'all', a year spec or a list of integers"
-        )
-    out_dir = Path(manifest["output_dir"])
-
-    networks, years = _load_years(manifest["input"], flow, years_text)
+    networks, years = _load_years(manifest.input, manifest.flow, manifest.years)
 
     # Validate every scenario on every year before running any, so bad input exits 1.
     tasks: list[tuple[str, int, ScenarioConfig]] = []
     seen: set[str] = set()
-    for number, spec in enumerate(manifest["scenarios"], start=1):
-        if not isinstance(spec, dict):
-            raise ValueError(f"scenario {number} must be a JSON object")
+    for number, spec in enumerate(manifest.scenarios, start=1):
         try:
             scenario = ScenarioConfig.from_mapping(spec)
         except ValueError as exc:
@@ -331,17 +327,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if run_id in seen:
                 raise ValueError(f"duplicate scenario {run_id}")
             seen.add(run_id)
-            run_seed = child_seed(master_seed, zlib.crc32(run_id.encode("ascii")))
+            run_seed = child_seed(manifest.master_seed, zlib.crc32(run_id.encode("ascii")))
             tasks.append((run_id, year, replace(scenario, master_seed=run_seed)))
+    # The raw efficiency of each intact year, shared by its runs. A shock only
+    # removes edges, so no run overflows once its year's baseline is finite.
+    baselines = {year: network_efficiency(networks[year]).raw_efficiency for year in years}
 
     (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
     results: list[dict] = []
     failures: list[tuple[str, str]] = []
-    baselines: dict[int, float] = {}  # raw efficiency of each intact year, shared by its runs
     for run_id, year, config in tasks:
         try:
-            if year not in baselines:
-                baselines[year] = network_efficiency(networks[year]).raw_efficiency
             results.append(_run_one(run_id, year, networks[year], config, baselines[year], out_dir))
         except Exception as exc:  # noqa: BLE001 - reported per scenario; the others still run
             failures.append((run_id, str(exc)))
@@ -359,9 +355,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for row in results:
         by_year.setdefault(str(row["year"]), []).append(row)
     summary = {
-        "input": manifest["input"],
-        "flow": flow,
-        "master_seed": master_seed,
+        "input": manifest.input,
+        "flow": manifest.flow,
+        "master_seed": manifest.master_seed,
         "years": by_year,
     }
     _write_atomic(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -371,8 +367,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as ``ValueError``, so it exits 1 with one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # subparsers take its class
         prog="tradeshock",
         description="Shock-recovery resilience analysis of trade networks",
     )
@@ -398,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="top elements by an influence indicator")
     add_io(p_rank)
-    # Validated by IndicatorKind() so an unknown name exits 1, not a usage error.
-    p_rank.add_argument("--indicator", required=True, metavar="INDICATOR")
+    indicators = [k.value for k in IndicatorKind]
+    p_rank.add_argument("--indicator", required=True, choices=indicators, metavar="INDICATOR")
     p_rank.add_argument("--top", type=int, default=10)
     p_rank.add_argument("--seed", type=int, default=0)
     p_rank.set_defaults(func=cmd_rank)
@@ -442,11 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # TradeFileError and JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:  # TradeFileError and usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -102,45 +102,53 @@ class ScenarioConfig:
             raise ValueError("targets nodes, which edge_weight does not rank")
 
     @classmethod
-    def from_mapping(cls, spec: Mapping[str, object], master_seed: int = 0) -> ScenarioConfig:
-        """Build a scenario from JSON-style values, the one schema of a scenario.
+    def from_mapping(cls, spec: object, master_seed: int = 0) -> ScenarioConfig:
+        """Read a scenario with :func:`read_dataclass`; the caller supplies ``master_seed``.
 
-        The keys are the fields other than ``master_seed``, which the caller
-        supplies; a key left out takes the field's default. Unknown keys,
-        missing required keys and values of the wrong type raise
-        ``ValueError``: enums take one of their string values, floats take
-        ints too, and a bool is never taken for a number. Ranges are checked
-        on construction, as for any config, and a ``random`` scenario, run
-        as a control over its replicates, needs at least 2. Every message is
-        a predicate ("is missing 'indicator'") that reads after the
-        scenario's name.
+        A ``random`` scenario, run as a control over its replicates, needs at least 2.
         """
-        hints = get_type_hints(cls)
-        schema = [f for f in fields(cls) if f.name != "master_seed"]
-        unknown = sorted(set(spec) - {f.name for f in schema})
-        if unknown:
-            raise ValueError(f"has unknown key {unknown[0]!r}")
-        values = {}
-        for field in schema:
-            if field.name not in spec:
-                if field.default is MISSING:
-                    raise ValueError(f"is missing {field.name!r}")
-                continue
-            value, kind = spec[field.name], hints[field.name]
-            if issubclass(kind, Enum):
-                names = [member.value for member in kind]
-                expected = "one of " + ", ".join(names)
-                valid = isinstance(value, str) and value in names
-            else:
-                expected = kind.__name__
-                valid = type(value) is kind or (kind is float and type(value) is int)
-            if not valid:
-                raise ValueError(f"has {field.name}={value!r}, expected {expected}")
-            values[field.name] = float(value) if kind is float else value
-        config = cls(**values, master_seed=master_seed)
+        config = read_dataclass(cls, spec, master_seed=master_seed)
         if config.indicator is IndicatorKind.random and config.replicates < 2:
             raise ValueError(f"has replicates={config.replicates}, but a random control needs >= 2")
         return config
+
+
+def read_dataclass(cls: type, spec: object, **given: object):
+    """Build the dataclass ``cls`` from a JSON object; ``given`` fields are not read from it.
+
+    A key left out takes the field's default. A value that is not an
+    object, unknown keys, missing required keys and values of the wrong
+    type raise ``ValueError``: enums take one of their string values,
+    floats take ints too, a bool is never taken for a number, and a field
+    typed ``object`` takes any value for ``cls`` to check. Ranges are
+    checked on construction. Every message is a predicate ("is missing
+    'indicator'") that reads after the name of what was read.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError("must be a JSON object")
+    hints = get_type_hints(cls)
+    schema = [f for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(spec) - {f.name for f in schema})
+    if unknown:
+        raise ValueError(f"has unknown key {unknown[0]!r}")
+    values = {}
+    for field in schema:
+        if field.name not in spec:
+            if field.default is MISSING:
+                raise ValueError(f"is missing {field.name!r}")
+            continue
+        value, kind = spec[field.name], hints[field.name]
+        if issubclass(kind, Enum):
+            names = [member.value for member in kind]
+            expected = "one of " + ", ".join(names)
+            valid = isinstance(value, str) and value in names
+        else:
+            expected = kind.__name__
+            valid = kind is object or type(value) is kind or (kind is float and type(value) is int)
+        if not valid:
+            raise ValueError(f"has {field.name}={value!r}, expected {expected}")
+        values[field.name] = float(value) if kind is float else value
+    return cls(**values, **given)
 
 
 @dataclass(frozen=True)

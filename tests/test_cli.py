@@ -458,6 +458,23 @@ def test_simulate_flags_and_manifest_share_scenario_defaults(tmp_path):
     assert_same_files(flags_out, manifest_out)
 
 
+def test_simulate_manifest_and_flags_share_manifest_defaults(tmp_path):
+    data = write_fixture(tmp_path / "trade.csv")
+    argv = ["simulate", "--input", str(data), "--output-dir", str(tmp_path / "flags")]
+    assert main(argv + ["--indicators", "out_degree,random"]) == 0
+    scenarios = [
+        {"target_kind": "nodes", "indicator": "out_degree"},
+        {"target_kind": "nodes", "indicator": "random"},
+    ]
+    explicit = {"flow": "import", "years": "all", "master_seed": 0, "jobs": 1}
+    for name, keys in (("bare", {}), ("explicit", explicit)):
+        manifest = {"input": str(data), "output_dir": str(tmp_path / name), "scenarios": scenarios}
+        manifest_path = tmp_path / f"{name}.json"
+        manifest_path.write_text(json.dumps({**manifest, **keys}), encoding="utf-8")
+        assert main(["simulate", "--manifest", str(manifest_path)]) == 0
+        assert_same_files(tmp_path / "flags", tmp_path / name)
+
+
 def test_simulate_flags_set_the_scenario_keys_they_name(tmp_path):
     # Every flag away from its default: a flag that set nothing would show as a diff.
     data = write_fixture(tmp_path / "trade.csv")
@@ -658,14 +675,19 @@ def test_file_without_records_of_the_flow_exits_one(tmp_path, capsys, monkeypatc
     ],
     ids=["pair_sum", "total_volume", "length", "pair_efficiencies"],
 )
-@pytest.mark.parametrize("command", ["efficiency", "impact"])
+@pytest.mark.parametrize("command", ["efficiency", "impact", "simulate"])
 def test_weights_that_overflow_float64_exit_one(tmp_path, capsys, rows, message, command):
     data = tmp_path / "trade.csv"
     data.write_text("\n".join(["year,reporter,partner,flow,value_usd", *rows, ""]), encoding="utf-8")
-    assert main([command, "-i", str(data)]) == 1
+    out_dir = tmp_path / "out"
+    argv = [command, "-i", str(data)]
+    if command == "simulate":
+        argv += ["-o", str(out_dir)]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_ingest_summary_names_a_short_row(tmp_path, capsys):
@@ -717,6 +739,24 @@ def test_simulate_rejects_a_manifest_nested_too_deeply(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"input": "trade.csv", "output_dir": "out", ', "is not valid JSON: Expecting property "
+         "name enclosed in double quotes: line 1 column 45 (char 44)"),
+        (b'{"input": "\xff.csv"}', "is not valid UTF-8 at byte 11"),
+    ],
+    ids=["truncated", "not_utf8"],
+)
+def test_simulate_rejects_a_manifest_it_cannot_decode(tmp_path, capsys, text, message):
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_bytes(text)
+    assert main(["simulate", "--manifest", str(manifest_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: manifest {manifest_path} {message}\n"
+    assert captured.out == ""
+
+
 def test_simulate_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys):
     data = write_fixture(tmp_path / "trade.csv")
     out_dir = tmp_path / "out"
@@ -733,6 +773,11 @@ def test_simulate_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys):
         (["-i", "trade.csv"], "simulate needs --input and --output-dir (or --manifest)"),
         (["-o", "out"], "simulate needs --input and --output-dir (or --manifest)"),
         (["-i", "trade.csv", "-o", "out", "--indicators", ","], "no indicators given"),
+        # Flags build a manifest, so the manifest's range rule names the key.
+        (
+            ["-i", "trade.csv", "-o", "out", "--seed", "-1"],
+            "manifest needs master_seed >= 0, got -1",
+        ),
     ],
 )
 def test_simulate_rejects_incomplete_flags(tmp_path, capsys, monkeypatch, flags, message):
@@ -744,19 +789,51 @@ def test_simulate_rejects_incomplete_flags(tmp_path, capsys, monkeypatch, flags,
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "-i", "trade.csv", "--indicator", "out_degree", "--top", "abc"],
+        ["rank", "-i", "trade.csv"],
+        ["efficiency", "-i", "trade.csv", "--top", "3"],
+        ["simulate", "-i", "trade.csv", "-o", "out", "--flow", "both"],
+        ["simulate", "-i", "trade.csv", "-o", "out", "--replicates", "1.5"],
+        [],
+    ],
+    ids=["bad_int", "missing_flag", "unknown_flag", "bad_choice", "bad_float", "none"],
+)
+def test_malformed_flags_exit_one_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_fixture(tmp_path / "trade.csv")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not Path("out").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rank", "--help"])
+    assert exit_info.value.code == 0
+    assert "--indicator" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "overrides, message",
     [
         ({"master_sed": 3}, "manifest has unknown key 'master_sed'"),
-        ({"master_seed": 7.9}, "master_seed must be an integer >= 0, got 7.9"),
-        ({"master_seed": "7"}, "master_seed must be an integer >= 0, got '7'"),
-        ({"master_seed": True}, "master_seed must be an integer >= 0, got True"),
-        ({"master_seed": None}, "master_seed must be an integer >= 0, got None"),
-        ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+        ({"master_seed": 7.9}, "manifest has master_seed=7.9, expected int"),
+        ({"master_seed": "7"}, "manifest has master_seed='7', expected int"),
+        ({"master_seed": True}, "manifest has master_seed=True, expected int"),
+        ({"master_seed": None}, "manifest has master_seed=None, expected int"),
+        ({"master_seed": -1}, "manifest needs master_seed >= 0, got -1"),
         ({"output_dir": None}, "manifest has output_dir=None, expected str"),
         ({"input": ["trade.csv"]}, "manifest has input=['trade.csv'], expected str"),
         ({"scenarios": []}, "manifest needs a non-empty scenarios list"),
-        ({"scenarios": {"target_kind": "nodes"}}, "manifest needs a non-empty scenarios list"),
-        ({"flow": "both"}, "flow must be one of ['export', 'import'], got 'both'"),
+        (
+            {"scenarios": {"target_kind": "nodes"}},
+            "manifest has scenarios={'target_kind': 'nodes'}, expected list",
+        ),
+        ({"flow": "both"}, "flow must be one of ('import', 'export'), got 'both'"),
     ],
 )
 def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message):
@@ -807,6 +884,7 @@ def test_efficiency_rejects_bad_years(tmp_path, capsys, years):
 @pytest.mark.parametrize(
     "years, message",
     [
+        ("", "years '' select no year"),
         (",", "years ',' select no year"),
         (" , ", "years ' , ' select no year"),
         ("2001-99999999999", "year range '2001-99999999999' leaves [1900, 2100]"),
@@ -838,15 +916,19 @@ def test_simulate_accepts_a_list_of_years(tmp_path):
     assert sorted(json.loads((out_dir / "summary.json").read_text())["years"]) == ["2002"]
 
 
-@pytest.mark.parametrize("jobs", [0, "2"])
-def test_simulate_rejects_bad_jobs(tmp_path, capsys, jobs):
+@pytest.mark.parametrize(
+    "jobs, message",
+    [(0, "manifest needs jobs >= 1, got 0"), ("2", "manifest has jobs='2', expected int")],
+    ids=["0", "2"],
+)
+def test_simulate_rejects_bad_jobs(tmp_path, capsys, jobs, message):
     data = write_fixture(tmp_path / "trade.csv")
+    out_dir = tmp_path / "out"
     manifest_path = tmp_path / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest_for(data, tmp_path / "out", jobs=jobs)), encoding="utf-8"
-    )
+    manifest_path.write_text(json.dumps(manifest_for(data, out_dir, jobs=jobs)), encoding="utf-8")
     assert main(["simulate", "--manifest", str(manifest_path)]) == 1
-    assert capsys.readouterr().err == f"error: jobs must be an integer >= 1, got {jobs!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

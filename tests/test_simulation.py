@@ -24,6 +24,8 @@ from tradeshock import (
     run_random_control,
     run_shock_recovery,
 )
+from tradeshock.cli import Manifest
+from tradeshock.simulation import read_dataclass
 
 from netgen import (
     active_edges,
@@ -77,6 +79,49 @@ def test_from_mapping_fills_defaults_and_takes_the_seed():
         target_kind="edges", indicator="random", shock_depth=1.0, replicates=3, master_seed=7
     )
     assert type(cfg.shock_depth) is float
+
+
+SCENARIO = {"target_kind": "nodes", "indicator": "out_degree"}
+MANIFEST = {"input": "trade.csv", "output_dir": "out", "scenarios": [SCENARIO]}
+
+
+@pytest.mark.parametrize(
+    "cls, spec, message",
+    [
+        (ScenarioConfig, ["nodes"], "must be a JSON object"),
+        (Manifest, "manifest.json", "must be a JSON object"),
+        (ScenarioConfig, {**SCENARIO, "shock_deph": 0.3}, "has unknown key 'shock_deph'"),
+        (Manifest, {**MANIFEST, "master_sed": 3}, "has unknown key 'master_sed'"),
+        (ScenarioConfig, {"target_kind": "nodes"}, "is missing 'indicator'"),
+        (Manifest, {"input": "trade.csv", "scenarios": [SCENARIO]}, "is missing 'output_dir'"),
+        (ScenarioConfig, {**SCENARIO, "replicates": True}, "has replicates=True, expected int"),
+        (ScenarioConfig, {**SCENARIO, "shock_depth": True}, "has shock_depth=True, expected float"),
+        (Manifest, {**MANIFEST, "master_seed": False}, "has master_seed=False, expected int"),
+        (
+            ScenarioConfig,
+            {**SCENARIO, "recovery_order": "backward"},
+            "has recovery_order='backward', expected one of shock_order, reverse_shock_order",
+        ),
+        (ScenarioConfig, {**SCENARIO, "replicates": 0}, "needs replicates >= 1, got 0"),
+        (Manifest, {**MANIFEST, "scenarios": []}, "needs a non-empty scenarios list"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_one_reader_rejects_each_bad_value_with_its_message(cls, spec, message):
+    with pytest.raises(ValueError) as excinfo:
+        read_dataclass(cls, spec)
+    assert str(excinfo.value) == message
+
+
+def test_one_reader_fills_defaults_and_takes_ints_for_floats():
+    assert read_dataclass(ScenarioConfig, {**SCENARIO, "shock_depth": 1}) == ScenarioConfig(
+        target_kind="nodes", indicator="out_degree", shock_depth=1.0
+    )
+    manifest = read_dataclass(Manifest, MANIFEST)
+    assert (manifest.flow, manifest.years, manifest.master_seed, manifest.jobs) == (
+        "import", "all", 0, 1
+    )
+    assert read_dataclass(Manifest, {**MANIFEST, "years": [2001, 2008]}).years == "2001,2008"
 
 
 def test_config_accepts_plain_strings():
