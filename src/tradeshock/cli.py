@@ -177,6 +177,8 @@ def _write_ranked(ranked: Iterable[tuple], edges: bool, value_name: str) -> None
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise ValueError(f"top_k must be >= 1, got {args.top}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     net = _one_year(args)
     kind = IndicatorKind(args.indicator)
     edges = kind is IndicatorKind.edge_weight
@@ -259,6 +261,8 @@ class Manifest:
             raise ValueError("needs a non-empty scenarios list")
         if self.master_seed < 0:
             raise ValueError(f"needs master_seed >= 0, got {self.master_seed}")
+        if self.flow not in FLOWS:  # before the input is read
+            raise ValueError(f"needs flow in {FLOWS}, got {self.flow!r}")
         if self.jobs < 1:
             raise ValueError(f"needs jobs >= 1, got {self.jobs}")
         if isinstance(self.years, list) and all(type(y) is int for y in self.years):

@@ -167,7 +167,7 @@ class TradeNetwork:
     def shock_edges(self, targets: Iterable[EdgePair]) -> "TradeNetwork":
         """Mask the given edges only; endpoints stay active even if isolated.
 
-        Checked as a batch, like :meth:`shock_nodes`.
+        Each target is a (source, target) pair. Checked as a batch, like :meth:`shock_nodes`.
         """
         return self._flip(targets, True, nodes=False, edges=True)
 
@@ -190,7 +190,7 @@ class TradeNetwork:
         edge_set: set[tuple[int, int]] = set()
         index_of, node_shocked, edge_shocked = self.index_of, self._node_shocked, self._edge_shocked
         for element in elements:
-            if not edges or (nodes and isinstance(element, str)):
+            if nodes and (not edges or isinstance(element, str)):
                 i = index_of(element)
                 if bool(node_shocked[i]) == shock or i in node_set:
                     raise ShockStateError(
@@ -198,7 +198,10 @@ class TradeNetwork:
                     )
                 node_set.add(i)
                 continue
-            source, target = element
+            try:
+                source, target = () if isinstance(element, str) else element
+            except (TypeError, ValueError):
+                raise ValueError(f"expected a (source, target) pair, got {element!r}") from None
             i, j = index_of(source), index_of(target)
             if shock and not self._has_edge[i, j]:
                 raise ValueError(f"no such trade relationship {source!r} -> {target!r}")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tradeshock import cli, efficiency
+from tradeshock import IndicatorKind, cli, efficiency
 from tradeshock.cli import main
 
 UNIFORM_YEAR = 2001  # complete uniform 4-node network
@@ -261,6 +261,16 @@ def test_rank_top_below_one_exits_one(tmp_path, capsys, top):
     assert main(argv + ["--top", top]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: top_k must be >= 1, got {top}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("indicator", [kind.value for kind in IndicatorKind])
+def test_rank_negative_seed_exits_one(tmp_path, capsys, indicator):
+    data = write_fixture(tmp_path / "trade.csv")
+    argv = ["rank", "--input", str(data), "--years", "2001", "--indicator", indicator]
+    assert main(argv + ["--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
     assert captured.out == ""
 
 
@@ -833,7 +843,10 @@ def test_help_still_exits_zero(capsys):
             {"scenarios": {"target_kind": "nodes"}},
             "manifest has scenarios={'target_kind': 'nodes'}, expected list",
         ),
-        ({"flow": "both"}, "flow must be one of ('import', 'export'), got 'both'"),
+        (  # named before the trade file is read: this one does not exist
+            {"flow": "both", "input": "no-such-trade.csv"},
+            "manifest needs flow in ('import', 'export'), got 'both'",
+        ),
     ],
 )
 def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message):
@@ -844,6 +857,18 @@ def test_simulate_rejects_bad_manifest_keys(tmp_path, capsys, overrides, message
     assert main(["simulate", "--manifest", str(manifest_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_write_atomic_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def failing_replace(source, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    target = tmp_path / "reports.csv"
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_atomic(target, "year\n")
+    assert not target.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 @pytest.mark.parametrize(

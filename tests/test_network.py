@@ -175,11 +175,34 @@ def test_rejected_batch_leaves_the_masks_untouched():
         ),
         (net.restore, [("USA", "CHN"), "JPN", "JPN"], "edge 'USA' -> 'CHN' was not shocked"),
         (net.restore, ["JPN", "JPN"], "node 'JPN' is already active"),
+        # An edge element is a (source, target) pair; a pair is no node code.
+        (
+            net.shock_edges,
+            [("CHN", "USA"), "USA", ("JPN", "DEU")],
+            "expected a (source, target) pair, got 'USA'",
+        ),
+        (
+            net.shock_edges,
+            [("CHN", "USA"), ("USA", "CHN", "DEU")],
+            "expected a (source, target) pair, got ('USA', 'CHN', 'DEU')",
+        ),
+        (
+            net.restore,
+            ["JPN", ("CHN", "USA", "DEU")],
+            "expected a (source, target) pair, got ('CHN', 'USA', 'DEU')",
+        ),
+        (net.restore, ["JPN", 7], "expected a (source, target) pair, got 7"),
+        (net.shock_nodes, ["CHN", ("CHN", "USA")], "unknown economy ('CHN', 'USA')"),
     ]:
         with pytest.raises((ValueError, ShockStateError)) as caught:
             update(batch)
         assert str(caught.value) == error
         assert all(map(np.array_equal, masks(net), before))
+    # A two-letter string is not read as the edge between two one-letter codes.
+    letters = build_network([("A", "B", 1.0)])
+    with pytest.raises(ValueError, match=r"^expected a \(source, target\) pair, got 'AB'$"):
+        letters.shock_edges(["AB"])
+    assert letters.n_active_edges == 1
 
 
 def test_restore_roundtrip_is_bit_exact():
