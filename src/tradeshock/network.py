@@ -190,7 +190,8 @@ class TradeNetwork:
         edge_set: set[tuple[int, int]] = set()
         index_of, node_shocked, edge_shocked = self.index_of, self._node_shocked, self._edge_shocked
         for element in elements:
-            if nodes and (not edges or isinstance(element, str)):
+            is_code = isinstance(element, str)
+            if nodes and (is_code or not edges):
                 i = index_of(element)
                 if bool(node_shocked[i]) == shock or i in node_set:
                     raise ShockStateError(
@@ -199,7 +200,7 @@ class TradeNetwork:
                 node_set.add(i)
                 continue
             try:
-                source, target = () if isinstance(element, str) else element
+                source, target = () if is_code else element
             except (TypeError, ValueError):
                 raise ValueError(f"expected a (source, target) pair, got {element!r}") from None
             i, j = index_of(source), index_of(target)
