@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .efficiency import _pair_efficiencies, shortest_path_costs
+from .efficiency import _pair_efficiencies, _tight, shortest_path_costs
 from .network import TradeNetwork, _ends
 
 
@@ -96,25 +96,26 @@ def closeness(net: TradeNetwork, direction: str = "out") -> np.ndarray:
 _PATH_COUNT_LIMIT = 2**62
 
 
-def _settlement_order(costs: np.ndarray, sources: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _settlement_order(
+    costs: np.ndarray, sources: np.ndarray, tails: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
     """Per source row, the order in which a (distance, index) heap Dijkstra settles the nodes.
 
-    Normally that is the order by distance, ties by index. A tight edge can
-    join two nodes at the same distance only when ``fl(d + 1/w) == d``; in a
-    row with such an edge, a node is settled only once it is reached, so the
-    row is replayed: the next node is the nearest reached one, lowest index
-    first. Unreachable nodes come last, in any order.
+    ``tails`` and ``heads`` hold every tight edge ``u -> v`` of row ``s`` as
+    the flat entries ``(s, u)`` and ``(s, v)`` of ``costs``. Normally the
+    order is by distance, ties by index. A tight edge can join two nodes at
+    the same distance only when ``fl(d + 1/w) == d``; in a row with such an
+    edge, a node is settled only once it is reached, so the row is
+    replayed: the next node is the nearest reached one, lowest index first.
+    Unreachable nodes come last, in any order.
     """
     order = np.argsort(costs, axis=1, kind="stable")
-    # fl(d + l) == d needs l <= ulp(d) / 2 <= d * 2**-53: screen edges by their tail's largest d.
-    farthest = np.where(np.isfinite(costs), costs, 0.0).max(axis=0)
-    tail, head = _ends(lengths <= farthest[:, None] * 2.0**-52)
-    d_tail = costs[:, tail]
-    flat = np.isfinite(d_tail) & (d_tail + lengths[tail, head] == d_tail) & (d_tail == costs[:, head])
-    for k in np.flatnonzero(flat.any(axis=1)).tolist():
+    flat, n = costs.reshape(-1), costs.shape[1]
+    for k in np.unique(heads[flat[tails] == flat[heads]] // n).tolist():
         dist = costs[k]
-        tight = dist[:, None] + lengths == dist[None, :]  # tight[v, u]: edge v -> u is tight
-        reached = np.zeros(dist.size, dtype=bool)
+        in_row = heads // n == k
+        tail, head = tails[in_row] % n, heads[in_row] % n
+        reached = np.zeros(n, dtype=bool)
         reached[sources[k]] = True
         waiting = np.isfinite(dist)
         settled = []
@@ -123,7 +124,7 @@ def _settlement_order(costs: np.ndarray, sources: np.ndarray, lengths: np.ndarra
             v = int(ready[np.argmin(dist[ready])])  # first minimum: the lowest index
             settled.append(v)
             waiting[v] = False
-            reached |= tight[v]
+            reached[head[tail == v]] = True
         order[k] = settled + np.flatnonzero(~np.isfinite(dist)).tolist()
     return order
 
@@ -143,8 +144,11 @@ def betweenness(net: TradeNetwork) -> np.ndarray:
     Path counts are held exactly in int64: a network in which some pair has
     more than 2**62 shortest paths raises ``ValueError``.
 
-    The counts and dependencies run rank by rank over all sources at once,
-    recomputing each rank's tight edges, so memory stays O(sources x N).
+    Every tight (source, edge) pair is found once, in slices of about
+    ``N * N`` candidates, and filed under the rank at which its head
+    settles. The counts run forward and the dependencies backward, rank by
+    rank over all sources at once, each rank over its own pairs only. So
+    memory is O(sources x N) plus the tight pairs, at most sources x edges.
     """
     n = net.n_nodes
     scores = np.zeros(n)
@@ -153,44 +157,58 @@ def betweenness(net: TradeNetwork) -> np.ndarray:
     if sources.size == 0:
         return scores
     costs = shortest_path_costs(net, sources=sources)
-    into = np.where(mask.T, net.baseline_lengths.T, np.inf)  # into[w, v]: length of v -> w
-    order = _settlement_order(costs, sources, into.T)
+    tails, heads = _ends(mask)
+    # Each edge u -> v tight in row s, once: the flat entries (s, u) and (s, v) of its ends.
+    pair_tails, pair_heads = [], []
+    with np.errstate(over="ignore"):  # a sum past float64 is inf: no path
+        for edges, entries in _tight(costs, net.baseline_lengths, tails, heads):
+            pair_tails.append(entries + (tails[edges] - heads[edges]))
+            pair_heads.append(entries)
+    pair_tails, pair_heads = np.concatenate(pair_tails), np.concatenate(pair_heads)
     rows = np.arange(sources.size)
+    origins = rows * n + sources  # the flat entries (s, s)
+    # settled[s, r]: the flat entry (s, v) of the node v that settles r-th from source s.
+    settled = _settlement_order(costs, sources, pair_tails, pair_heads) + rows[:, None] * n
+    rank = np.empty(costs.size, dtype=np.intp)
+    rank[settled] = np.arange(n)
+    head_ranks = rank[pair_heads]
+    by_rank = np.argsort(head_ranks)  # within one rank the order of the pairs changes no sum
     n_ranks = int(np.isfinite(costs).sum(axis=1).max())
-
-    def tight_into(r: int) -> tuple[np.ndarray, np.ndarray]:
-        w = order[:, r]
-        d_w = costs[rows, w]
-        d_w[np.isinf(d_w)] = np.nan  # no edge is tight into an unreached node
-        return w, costs + into[w] == d_w[:, None]
+    bounds = np.searchsorted(head_ranks[by_rank], np.arange(n_ranks + 1)).tolist()
+    pairs = pair_tails[by_rank]  # rank r's pairs, by the entries of their tails
+    owners = pairs // n  # and their source rows
 
     # A predecessor must settle before w. A tight edge from a node settling
     # later adds nothing: the forward pass has not counted that node's paths
     # yet, and the backward pass zeroes each node's weight once it is done.
-    sigma = np.zeros((sources.size, n), dtype=np.int64)
-    sigma[rows, sources] = 1
+    sigma = np.zeros(costs.size, dtype=np.int64)
+    sigma[origins] = 1
     largest = 1
     for r in range(1, n_ranks):
-        w, tight = tight_into(r)
-        paths = np.where(tight, sigma, 0)
-        count = paths.sum(axis=1)
+        lo, hi = bounds[r], bounds[r + 1]
+        paths = sigma[pairs[lo:hi]]
+        count = np.zeros(sources.size, dtype=np.int64)
+        np.add.at(count, owners[lo:hi], paths)
         if largest > _PATH_COUNT_LIMIT // n:  # n counts could pass the limit, or wrap int64
-            if max(count.max(), paths.sum(axis=1, dtype=float).max()) > _PATH_COUNT_LIMIT:
+            wide = np.bincount(owners[lo:hi], paths.astype(float), minlength=sources.size)
+            if max(count.max(), wide.max()) > _PATH_COUNT_LIMIT:
                 raise ValueError("betweenness counts shortest paths exactly only up to 2**62")
         largest = max(largest, int(count.max()))
-        sigma[rows, w] = count
+        sigma[settled[:, r]] = count
 
     weight = sigma.astype(float)
     del sigma
-    delta = np.zeros((sources.size, n))
+    delta = np.zeros(costs.size)
     with np.errstate(divide="ignore", invalid="ignore"):  # unreachable and padding ranks: sigma 0
         for r in range(n_ranks - 1, 0, -1):
-            w, tight = tight_into(r)
-            coeff = (1.0 + delta[rows, w]) / weight[rows, w]
-            weight[rows, w] = 0.0
-            delta += np.where(tight, weight * coeff[:, None], 0.0)
-    delta[rows, sources] = 0.0
-    for row in delta:
+            w = settled[:, r]
+            coeff = (1.0 + delta[w]) / weight[w]
+            weight[w] = 0.0
+            lo, hi = bounds[r], bounds[r + 1]
+            at = pairs[lo:hi]  # one head per row: no entry twice
+            delta[at] += weight[at] * coeff[owners[lo:hi]]
+    delta[origins] = 0.0
+    for row in delta.reshape(sources.size, n):
         scores += row
     return scores
 

@@ -212,14 +212,15 @@ class DistanceEngine:
         removed, added = _ends(before > kept), _ends(after > kept)
         if removed[0].size:  # a scenario's restores remove nothing: skip the N x N scans
             marked = np.zeros(flat.size, dtype=bool)
-            for _, entries in self._tight(*removed):
+            for _, entries in _tight(self.costs, self._lengths, *removed):
                 marked[entries] = True
             if marked.any():
                 _remove_marked(flat, self._out_edges(kept), self._in_edges(kept), marked, net.n_nodes)
         if added[0].size:
             changed = np.zeros(flat.size, dtype=bool)
-            for _, entries, candidates in self._candidates(*added):
-                _relax(flat, entries.ravel(), candidates.ravel(), changed)
+            row_starts = np.arange(net.n_nodes)[:, None] * net.n_nodes
+            for _, heads, candidates in _candidates(self.costs, self._lengths, *added):
+                _relax(flat, (row_starts + heads).ravel(), candidates.ravel(), changed)
             if changed.any():
                 _settle(flat, self._out_edges(after), changed, net.n_nodes)
         self.mask = after
@@ -243,7 +244,7 @@ class DistanceEngine:
         self.update()
         n, mask = self.net.n_nodes, self.mask
         hit = np.zeros(n_probes, dtype=bool)
-        for edges, _ in self._tight(tails, heads):
+        for edges, _ in _tight(self.costs, self._lengths, tails, heads):
             hit[owner[edges]] = True
         results = np.full(n_probes, self.raw_efficiency)
         keep = hit[owner]  # the removed edges of the probes that run
@@ -267,7 +268,7 @@ class DistanceEngine:
             in_at = layer * into.data.size + in_slots[lo:hi]
             out_layers.data[out_at] = in_layers.data[in_at] = np.inf
             size = chunk.size * n * n
-            for edges, entries in self._tight(tails[lo:hi], heads[lo:hi]):
+            for edges, entries in _tight(self.costs, self._lengths, tails[lo:hi], heads[lo:hi]):
                 marked[layer[edges] * n * n + entries] = True
             _remove_marked(flat[:size], out_layers, in_layers, marked[:size], n)
             for k, probe in enumerate(chunk.tolist()):
@@ -279,27 +280,34 @@ class DistanceEngine:
             in_layers.data[in_at] = into.data[in_slots[lo:hi]]
         return results
 
-    def _candidates(self, tails: np.ndarray, heads: np.ndarray):
-        """Per N edges ``(u, v)`` from edge ``s``: ``s``, entries ``(i, v)`` and ``fl(D[i, u] + l)``.
 
-        The entries and candidates are ``(N, edges)`` arrays, one row per row ``i``.
-        """
-        n = self.net.n_nodes
-        row_starts = np.arange(n)[:, None] * n
-        for s in range(0, tails.size, n):
-            u, v = tails[s : s + n], heads[s : s + n]
-            yield s, row_starts + v, self.costs[:, u] + self._lengths[u, v]
+def _candidates(costs: np.ndarray, lengths: np.ndarray, tails: np.ndarray, heads: np.ndarray):
+    """Per slice of edges ``(u, v)``: its first edge ``s``, its heads ``v``, ``fl(D[i, u] + l)``.
 
-    def _tight(self, tails: np.ndarray, heads: np.ndarray):
-        """Phase-1 seeds of removing each edge ``k = (tails[k], heads[k])``, per slice of edges.
+    ``costs`` has any number of rows ``i`` over ``N`` columns; the
+    candidates are a ``(rows, edges)`` array. A slice holds
+    ``N * N // rows`` edges, so about ``N * N`` candidates.
+    """
+    rows, n = costs.shape
+    step = n * n // rows
+    for s in range(0, tails.size, step):
+        u, v = tails[s : s + step], heads[s : s + step]
+        yield s, v, costs[:, u] + lengths[u, v]
 
-        Yields edge positions ``k`` and flat entries ``(i, v)``, one pair per
-        row ``i`` in which ``fl(D[i, u] + l) == D[i, v]`` is finite.
-        """
-        flat = self.costs.reshape(-1)
-        for s, entries, candidates in self._candidates(tails, heads):
-            tight = np.flatnonzero((candidates == flat[entries]) & (candidates < np.inf))
-            yield tight % entries.shape[1] + s, entries.reshape(-1)[tight]
+
+def _tight(costs: np.ndarray, lengths: np.ndarray, tails: np.ndarray, heads: np.ndarray):
+    """The edges ``k = (tails[k], heads[k])`` tight in each row of ``costs``, per slice of edges.
+
+    Yields edge positions ``k`` and flat entries ``(i, v)`` of ``costs``,
+    one pair per row ``i`` in which ``fl(D[i, u] + l) == D[i, v]`` is
+    finite. These are the phase-1 seeds of removing the edges, and the
+    shortest-path DAG that betweenness walks.
+    """
+    n = costs.shape[1]
+    for s, v, candidates in _candidates(costs, lengths, tails, heads):
+        tight = np.flatnonzero((candidates == costs[:, v]) & (candidates < np.inf))
+        rows, k = np.divmod(tight, v.size)
+        yield k + s, rows * n + v[k]
 
 
 def _stacked(graph: _Graph, layers: int) -> _Graph:

@@ -105,7 +105,7 @@ class TradeNetwork:
     def index_of(self, code: str) -> int:
         try:
             return self._index[code]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable element, such as a list
             raise ValueError(f"unknown economy {code!r}") from None
 
     def code_of(self, index: int) -> str:

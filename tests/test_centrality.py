@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from tradeshock import (
     EDGE_INDICATORS,
     NODE_INDICATORS,
     IndicatorKind,
+    ScenarioConfig,
     TradeNetwork,
     betweenness,
     build_network,
@@ -21,6 +23,8 @@ from tradeshock import (
     rank_by_impact,
     rank_edges,
     rank_nodes,
+    run_shock_recovery,
+    shortest_path_costs,
     strength,
 )
 
@@ -243,6 +247,56 @@ def test_betweenness_counts_paths_exactly_up_to_the_limit():
 def test_betweenness_rejects_path_counts_past_the_limit(widths):
     with pytest.raises(ValueError, match="2\\*\\*62"):
         betweenness(parallel_chain(widths))
+
+
+def test_betweenness_equals_heap_reference_on_every_rerank_state(monkeypatch):
+    """Each state a ``recompute_rankings`` schedule ranks, as on the benchmark's rerank path."""
+    seen = []
+
+    def recording(net):
+        seen.append(net.fork())
+        return betweenness(net)
+
+    monkeypatch.setattr(centrality, "betweenness", recording)
+    net = connected_random_network(np.random.default_rng(5), 40, 0.2)
+    cfg = ScenarioConfig(target_kind="nodes", indicator="betweenness", recompute_rankings=True)
+    run_shock_recovery(net, cfg)
+    assert len(seen) == 20  # one ranking per one-node batch, down to half the nodes
+    for state in seen:
+        assert np.array_equal(betweenness(state), heap_betweenness(state))
+
+
+def test_betweenness_equals_heap_reference_with_tied_predecessors():
+    """Weights in {1, 2}: many nodes have several tight in-edges settling at one rank."""
+    rng = np.random.default_rng(77)
+    most_predecessors = 0
+    for _ in range(60):
+        n = int(rng.integers(6, 30))
+        weights = rng.choice([1.0, 2.0], size=(n, n))
+        weights[rng.random((n, n)) < rng.uniform(0.3, 0.8)] = 0.0
+        np.fill_diagonal(weights, 0.0)
+        net = TradeNetwork(codes_for(n), weights)
+        assert np.array_equal(betweenness(net), heap_betweenness(net))
+        costs = shortest_path_costs(net)
+        with np.errstate(divide="ignore"):
+            tight = costs[:, :, None] + 1.0 / weights[None] == costs[:, None, :]
+        tight &= np.isfinite(costs)[:, None, :]  # tight[s, v, w]: v -> w is tight from s
+        most_predecessors = max(most_predecessors, int(tight.sum(axis=1).max()))
+    assert most_predecessors >= 3
+
+
+def test_betweenness_memory_stays_a_small_multiple_of_the_distance_rows():
+    """The tight test runs in slices: the peak stays near the (sources x N) arrays it keeps."""
+    net = random_network(np.random.default_rng(12), 100, 0.5)
+    sources = int(net.active_edge_mask.any(axis=1).sum())
+    betweenness(net)  # warm up imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        betweenness(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * sources * net.n_nodes * 8
 
 
 # -- pagerank ----------------------------------------------------------------

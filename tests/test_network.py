@@ -193,6 +193,9 @@ def test_rejected_batch_leaves_the_masks_untouched():
         ),
         (net.restore, ["JPN", 7], "expected a (source, target) pair, got 7"),
         (net.shock_nodes, ["CHN", ("CHN", "USA")], "unknown economy ('CHN', 'USA')"),
+        # An unhashable element is no code either.
+        (net.shock_nodes, ["CHN", ["CHN", "USA"], "ZZZ"], "unknown economy ['CHN', 'USA']"),
+        (net.restore, ["JPN", (["CHN"], "USA")], "unknown economy ['CHN']"),
     ]:
         with pytest.raises((ValueError, ShockStateError)) as caught:
             update(batch)
