@@ -111,7 +111,7 @@ def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
         missing = [col for col in HEADER if col not in names]
         if missing:
             raise TradeFileError(f"missing required columns: {', '.join(missing)}")
-        col = {name: names.index(name) for name in HEADER}
+        cols = [names.index(name) for name in HEADER]
 
         while True:
             lineno = reader.line_num + 1  # the physical line the next row starts on
@@ -123,35 +123,21 @@ def _parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
                 report.row_errors.append((lineno, str(exc)))
                 continue
             text = "".join(row)
-            if not text.isascii() and not _is_utf8(text):  # the common case skips the encode
-                report.row_errors.append((lineno, "line is not valid UTF-8"))
-                continue
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(names):
-                report.row_errors.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
-                continue
             try:
-                year = int(row[col["year"]].strip())
-                value = float(row[col["value_usd"]].strip())
+                if not text.isascii() and not _is_utf8(text):  # the common case skips the encode
+                    raise ValueError("line is not valid UTF-8")
+                if not text.strip():
+                    continue
+                if len(row) < len(names):
+                    raise ValueError(f"expected {len(names)} fields, got {len(row)}")
+                year, reporter, partner, flow, value = (row[i].strip() for i in cols)
+                year, value = int(year), float(value)
+                if value == 0:
+                    report.zero_value_rows += 1
+                    continue
+                report.records.append(TradeRecord(year, reporter, partner, flow.lower(), value))
             except ValueError as exc:
                 report.row_errors.append((lineno, str(exc)))
-                continue
-            if value == 0:
-                report.zero_value_rows += 1
-                continue
-            try:
-                record = TradeRecord(
-                    year=year,
-                    reporter=row[col["reporter"]].strip(),
-                    partner=row[col["partner"]].strip(),
-                    flow=row[col["flow"]].strip().lower(),
-                    value=value,
-                )
-            except ValueError as exc:
-                report.row_errors.append((lineno, str(exc)))
-                continue
-            report.records.append(record)
     return report
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
+from hypothesis import strategies as st
 
 from tradeshock import FLOW_IMPORT, TradeNetwork, TradeRecord, Trajectory
 
@@ -163,3 +166,55 @@ def grid_trajectory(rng: np.random.Generator, max_steps: int = 12) -> Trajectory
     n_recovery = int(rng.integers(1, max_steps + 1))
     ne = [k0 * GRID] + [draw() for _ in range(n_shock + n_recovery)]
     return Trajectory(tuple(ne), t_r=n_shock, batches=(), reference_mean_weight=1.0)
+
+
+# The lines a drawn trade file mixes: valid rows, rows built from cells that
+# may be malformed, and whole lines the parser must name as faults or skip.
+_TRADE_HEADER = b"year,reporter,partner,flow,value_usd"
+_VALID_CELLS = (
+    ("2001", "2002"),
+    ("USA", "CHN", "DEU", "JPN", "MÉX"),
+    ("USA", "CHN", "DEU", "JPN", "MÉX"),
+    ("import", "export"),
+    ("5", "0.25", "1e3", "7"),
+)
+_FAULTY_CELLS = (
+    ("2001", " 2002 ", "1800", "20x1", "", "2001.5"),
+    ("USA", "CHN", "", " "),
+    ("CHN", "DEU", "", " "),
+    ("import", " Import ", "both", ""),
+    ("5", "0", "0.0", "-3", "nan", "inf", "1e999", "1,5", "x", ""),
+)
+_FAULT_LINES = (
+    b"",
+    b"   ",
+    b" , ,\t, , ",
+    "\u3000,\u00a0".encode(),  # whitespace that is not ASCII
+    b"2001,USA,CHN",
+    b'2001,"USA"X,CHN,import,5',  # text after a closing quote
+    b'2001,USA,CHN,import,"5',  # an unclosed quote runs on to the end of the file
+    b"2001,C\xffN,USA,import,3",  # a byte that is not UTF-8
+    b"\xff",
+    b"2001,USA,CHN,import," + b"9" * (csv.field_size_limit() + 1),
+)
+
+
+def _cells(pools) -> st.SearchStrategy[bytes]:
+    return st.tuples(*map(st.sampled_from, pools)).map(lambda row: ",".join(row).encode())
+
+
+@st.composite
+def trade_files(draw, max_rows: int = 8) -> bytes:
+    """The bytes of a trade file: an optional byte-order mark, the header and drawn lines.
+
+    Each line ends in LF, CRLF or CR, and the last may end in nothing.
+    """
+    valid = _cells(_VALID_CELLS)  # drawn twice as often as each fault
+    line = st.one_of(valid, valid, _cells(_FAULTY_CELLS), st.sampled_from(_FAULT_LINES))
+    lines = [_TRADE_HEADER, *draw(st.lists(line, max_size=max_rows))]
+    end = st.sampled_from((b"\n", b"\r\n", b"\r"))
+    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = b""
+    bom = draw(st.sampled_from((b"", b"\xef\xbb\xbf")))
+    return bom + b"".join(text + end for text, end in zip(lines, ends))

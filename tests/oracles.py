@@ -10,8 +10,9 @@ simple paths is exactly the value a correct shortest-path routine returns.
 The last section keeps former implementations of the package, word for
 word: the heap-based Brandes betweenness, the dict-based Louvain local-move
 sweep, the scenario loop that recomputed efficiency in full after every
-batch, the rankings that ordered items by a Python ``sorted`` key, and the
-mask updates that checked and flipped one element at a time. Their
+batch, the rankings that ordered items by a Python ``sorted`` key, the mask
+updates that checked and flipped one element at a time, and the trade-file
+row loop that recorded each kind of malformed row in its own handler. Their
 replacements must equal them bit for bit. The scenario loop ranks through
 the former sorted-key orderings, so every comparison with it checks the
 schedule's order too.
@@ -19,8 +20,11 @@ schedule's order too.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from heapq import heappop, heappush
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +44,7 @@ from tradeshock import (
     strength,
 )
 from tradeshock.centrality import _node_scores
+from tradeshock.ingest import HEADER, ParseReport, TradeFileError, TradeRecord, _is_utf8, _open
 from tradeshock.simulation import _apply_shock, child_seed
 
 from netgen import active_edges
@@ -477,3 +482,66 @@ def sequential_restore(net: TradeNetwork, elements) -> TradeNetwork:
                 raise ShockStateError(f"edge {source!r} -> {target!r} was not shocked")
             net._edge_shocked[i, j] = False
     return net
+
+
+def handler_per_check_parse_rows(source: str | Path | io.TextIOBase) -> ParseReport:
+    """The row loop of ``ingest._parse_rows`` with one ``row_errors`` append per check."""
+    report = ParseReport()
+    with _open(source, "r") as fh:
+        reader = csv.reader(fh, strict=True)  # an unclosed quote is an error, not a field
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TradeFileError("empty file: header row is required") from None
+        except csv.Error as exc:
+            raise TradeFileError(f"unreadable header row: {exc}") from None
+        if not _is_utf8("".join(header)):
+            raise TradeFileError("header row is not valid UTF-8")
+        if header:  # a byte-order mark, as spreadsheet "CSV UTF-8" exports write one
+            header[0] = header[0].removeprefix("\ufeff")
+        names = [h.strip().lower() for h in header]
+        missing = [col for col in HEADER if col not in names]
+        if missing:
+            raise TradeFileError(f"missing required columns: {', '.join(missing)}")
+        col = {name: names.index(name) for name in HEADER}
+
+        while True:
+            lineno = reader.line_num + 1  # the physical line the next row starts on
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # bad quoting, or a field past the csv module's size limit
+                report.row_errors.append((lineno, str(exc)))
+                continue
+            text = "".join(row)
+            if not text.isascii() and not _is_utf8(text):  # the common case skips the encode
+                report.row_errors.append((lineno, "line is not valid UTF-8"))
+                continue
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < len(names):
+                report.row_errors.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
+                continue
+            try:
+                year = int(row[col["year"]].strip())
+                value = float(row[col["value_usd"]].strip())
+            except ValueError as exc:
+                report.row_errors.append((lineno, str(exc)))
+                continue
+            if value == 0:
+                report.zero_value_rows += 1
+                continue
+            try:
+                record = TradeRecord(
+                    year=year,
+                    reporter=row[col["reporter"]].strip(),
+                    partner=row[col["partner"]].strip(),
+                    flow=row[col["flow"]].strip().lower(),
+                    value=value,
+                )
+            except ValueError as exc:
+                report.row_errors.append((lineno, str(exc)))
+                continue
+            report.records.append(record)
+    return report

@@ -95,6 +95,12 @@ def test_closeness_three_node_chain_hand_table():
     assert inn[net.index_of("C")] == pytest.approx((4.0 + 1 / 0.75) / 2.0)
 
 
+def test_closeness_of_a_single_economy_is_zero():
+    net = build_network([("A", "A", 5.0)])  # a self-loop keeps its code as the one node
+    for direction in ("out", "in"):
+        assert closeness(net, direction).tolist() == [0.0]
+
+
 def test_closeness_uniform_complete_is_symmetric():
     net = complete_uniform_network(5, 2.0)
     for direction in ("out", "in"):
@@ -309,6 +315,10 @@ def test_pagerank_sums_to_one_and_uniform_on_complete():
     assert np.allclose(scores, 1.0 / 6.0, atol=1e-9)
 
 
+def test_pagerank_of_an_empty_network_is_empty():
+    assert pagerank(build_network([])).shape == (0,)
+
+
 def test_pagerank_two_node_closed_form():
     net = build_network([("A", "B", 5.0)])
     scores = pagerank(net)
@@ -503,6 +513,11 @@ def test_outside_module_degree_counts_cross_links():
     assert outside[net.index_of("A0")] == 1.0
     assert outside[net.index_of("B0")] == 1.0
     assert outside[net.index_of("A2")] == 0.0
+
+
+def test_module_indicators_of_an_empty_network_are_empty():
+    indicators = module_indicators(build_network([]), np.zeros(0, dtype=int))
+    assert [part.shape for part in indicators] == [(0,), (0,), (0,)]
 
 
 def test_module_indicator_assignment_shape_checked():

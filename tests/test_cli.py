@@ -1,11 +1,21 @@
+import contextlib
 import gzip
+import io
 import json
+import os
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tradeshock import IndicatorKind, cli, efficiency
+from tradeshock import IndicatorKind, ScenarioConfig, cli, efficiency
 from tradeshock.cli import main
+
+from netgen import trade_files
 
 UNIFORM_YEAR = 2001  # complete uniform 4-node network
 STAR_YEAR = 2002  # CTR exports to four leaves, one heavier return edge
@@ -1019,3 +1029,98 @@ def test_simulate_duplicate_scenarios_rejected(tmp_path, capsys):
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["simulate", "--manifest", str(manifest_path)]) == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+# -- bad input, drawn: exit 0, or exit 1 with one line and nothing written ---------
+
+
+@contextlib.contextmanager
+def temporary_working_directory():
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield Path(tmp)
+        finally:
+            os.chdir(previous)
+
+
+def assert_exits_cleanly(argv: list[str], workdir: Path) -> None:
+    """Exit 0 with a silent stderr, or exit 1 with one stderr line and no new file.
+
+    A warning counts as a stderr line; a traceback fails the test where it is raised.
+    """
+    before = sorted(os.listdir(workdir))
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    lines = stderr.getvalue().splitlines() + [str(warning.message) for warning in caught]
+    assert (code, len(lines)) in {(0, 0), (1, 1)}, (argv, code, lines)
+    if code == 1:
+        assert lines[0].startswith("error: ")
+        assert sorted(os.listdir(workdir)) == before
+
+
+CSV_COMMANDS = [
+    ["ingest"],
+    ["efficiency"],
+    ["rank", "--years", "2001", "--indicator", "out_degree"],
+    ["impact", "--years", "2001", "--target", "nodes"],
+    ["impact", "--years", "2001", "--target", "edges"],
+    ["simulate", "--years", "2001", "--indicators", "out_degree", "-o", "out"],
+]
+
+
+@settings(max_examples=40)
+@given(
+    data=trade_files(),
+    name=st.sampled_from(["trade.csv", "trade.csv.gz"]),
+    command=st.sampled_from(CSV_COMMANDS),
+)
+def test_every_command_exits_cleanly_on_a_drawn_trade_file(data, name, command):
+    with temporary_working_directory() as workdir:
+        (workdir / name).write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        assert_exits_cleanly([command[0], "-i", name, *command[1:]], workdir)
+
+
+MANIFEST_VALUES = (
+    None, True, -1, 0, 2, 0.5, 1.5, float("nan"), "", "x", "trade.csv", "all", "nodes",
+    "edges", "random", "edge_weight", "reverse_shock_order", [], {}, [2001], ["2001"],
+    [2001.5], "2001", "2001-2002", "2002-2001", "1800-2200", "2001,,2002",
+)
+_DELETE = object()
+manifest_edits = st.lists(
+    st.one_of(
+        st.tuples(
+            st.none(),
+            st.sampled_from([f.name for f in fields(cli.Manifest)] + ["master_sed"]),
+            st.sampled_from(MANIFEST_VALUES + (_DELETE,)),
+        ),
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from([f.name for f in fields(ScenarioConfig)] + ["label"]),
+            st.sampled_from(MANIFEST_VALUES + (_DELETE,)),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40)
+@given(edits=manifest_edits)
+def test_simulate_exits_cleanly_on_a_drawn_manifest(edits):
+    with temporary_working_directory() as workdir:
+        write_fixture(workdir / "trade.csv")
+        manifest = manifest_for(Path("trade.csv"), Path("out"))
+        # Scenario edits first, as an edit of "scenarios" may leave no list to edit.
+        for scenario, key, value in sorted(edits, key=lambda edit: edit[0] is None):
+            target = manifest if scenario is None else manifest["scenarios"][scenario]
+            if value is _DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = value
+        (workdir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert_exits_cleanly(["simulate", "--manifest", "manifest.json"], workdir)

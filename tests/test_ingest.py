@@ -1,7 +1,11 @@
 import gzip
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradeshock import (
     TradeFileError,
@@ -11,7 +15,8 @@ from tradeshock import (
     write_trade_file,
 )
 
-from netgen import network_to_records
+from netgen import network_to_records, trade_files
+from oracles import handler_per_check_parse_rows
 
 CANONICAL = """\
 year,reporter,partner,flow,value_usd
@@ -280,3 +285,19 @@ def test_byte_order_mark_is_ignored(tmp_path, kind):
         return path
 
     assert parse_trade_file(source(BOM + CANONICAL)) == parse_trade_file(source(CANONICAL))
+
+
+@settings(max_examples=80)
+@given(data=trade_files(), kind=st.sampled_from(["stream", "gzip"]))
+def test_row_loop_equals_the_handler_per_check_loop(data, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = handler_per_check_parse_rows(trade_source(Path(tmp), kind, data))
+        assert parse_trade_file(trade_source(Path(tmp), kind, data)) == expected
+
+
+def test_a_strict_stream_raises_its_own_decoding_error():
+    """A caller's stream that decodes strictly fails on the bad byte; no row takes the error."""
+    rows = b"2001,USA,CHN,import,5\n" * 500  # 11 kB: the bad byte is past the first 8 kB chunk
+    data = HEADER_ROW + rows + b"2001,C\xffN,USA,import,3\n"
+    with pytest.raises(UnicodeDecodeError):
+        parse_trade_file(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))

@@ -293,6 +293,12 @@ def test_stats_zero_edge_network():
     assert s.mean_edge_weight == 0.0
 
 
+def test_repr_counts_active_over_all_elements():
+    net = small_net()
+    net.shock_nodes(["CHN"])
+    assert repr(net) == "TradeNetwork(year=2008, nodes=3/4, edges=2/5)"
+
+
 def test_stats_track_active_subnetwork():
     net = small_net()
     net.shock_nodes(["CHN"])
