@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .network import TradeNetwork, _ends, _in_year
+from .network import TradeNetwork, _in_year
 
 
 @dataclass(frozen=True)
@@ -85,19 +85,24 @@ def _pair_efficiencies(costs: np.ndarray) -> np.ndarray:
     return pair_eff
 
 
-def _raw_efficiency(costs: np.ndarray, year: int | None) -> float:
-    """Raw efficiency: the pair efficiencies of an ``N x N`` cost matrix over N(N-1) pairs.
+def _mean_pair_efficiency(pair_eff: np.ndarray, year: int | None) -> float:
+    """Raw efficiency from an ``N x N`` pair-efficiency matrix: its sum over N(N-1) pairs.
 
-    Raises ValueError, naming ``year``, when their sum overflows float64: a
+    Raises ValueError, naming ``year``, when the sum overflows float64: a
     pair efficiency is at most the total volume, so N(N-1) of them can
     overflow where the total does not.
     """
-    n = costs.shape[0]
+    n = pair_eff.shape[0]
     with np.errstate(over="ignore"):
-        total = float(_pair_efficiencies(costs).sum())
+        total = float(pair_eff.sum())
     if math.isinf(total):
         raise ValueError(f"the sum of pair efficiencies{_in_year(year)} overflows")
     return total / (n * (n - 1))
+
+
+def _raw_efficiency(costs: np.ndarray, year: int | None) -> float:
+    """Raw efficiency: the pair efficiencies of an ``N x N`` cost matrix over N(N-1) pairs."""
+    return _mean_pair_efficiency(_pair_efficiencies(costs), year)
 
 
 def network_efficiency(net: TradeNetwork) -> EfficiencyResult:
@@ -132,11 +137,15 @@ class DistanceEngine:
     direction, it updates ``costs`` in place and takes the new ``mask``.
     :meth:`without` measures what-if removals and changes neither.
 
-    The engine owns a fixed length graph: the network's frozen
-    :attr:`~tradeshock.network.TradeNetwork.baseline_lengths`, and their
-    transpose for the in-edges, taken once at construction. Each update
-    takes the out-edges and in-edges it needs from the masks as plain
-    compressed-row arrays.
+    The engine works in edge space. At construction it lists the baseline
+    edges once, row-major, with their frozen lengths
+    (:attr:`~tradeshock.network.TradeNetwork.baseline_lengths`), and keeps
+    which of them are active as a vector over that list; ``mask`` is derived
+    from it. Each update reads the vector from the network's shock flags by
+    gathers, diffs it against the last one, and takes the out-edges and
+    in-edges it needs as compressed rows of edge positions. It also keeps
+    the pair efficiencies ``1 / costs`` and rewrites them only at the
+    entries the update changed, so :attr:`raw_efficiency` is one sum.
 
     Let ``W[i, v]`` be the least cost of a walk from ``i`` to ``v``, summed
     left to right in floating point. As ``fl(x + l)`` is monotone in ``x``
@@ -179,24 +188,40 @@ class DistanceEngine:
     """
 
     def __init__(self, net: TradeNetwork, costs: np.ndarray):
-        if net.n_nodes < 2:
-            raise ValueError(f"a distance engine needs at least 2 nodes, got {net.n_nodes}")
+        n = net.n_nodes
+        if n < 2:
+            raise ValueError(f"a distance engine needs at least 2 nodes, got {n}")
         self.net = net
         self.costs = costs
         self._lengths = net.baseline_lengths
-        self._lengths_in = np.ascontiguousarray(self._lengths.T)  # [v, u]: length of u -> v
-        self.mask = net.active_edge_mask
+        self._flat = np.flatnonzero(net._has_edge)  # the baseline edges, row-major
+        self._tails, self._heads = np.divmod(self._flat, n)
+        lengths, nodes = self._lengths.reshape(-1)[self._flat], np.arange(n + 1)
+        by_head = np.lexsort((self._tails, self._heads))  # in-edges: rows are heads
+        tails, heads = self._tails[by_head], self._heads[by_head]
+        self._out = slice(None), self._heads, lengths, np.searchsorted(self._tails, nodes)
+        self._in = by_head, tails, lengths[by_head], np.searchsorted(heads, nodes)
+        self._active = self._read()
+        self._pair_eff = _pair_efficiencies(costs)
+        self._changed = np.zeros(n * n, dtype=bool)  # all False between updates
+
+    def _read(self) -> np.ndarray:
+        """Which baseline edges of ``net`` are active now: neither they nor an endpoint shocked."""
+        shocked = self.net._node_shocked
+        edge_shocked = self.net._edge_shocked.reshape(-1)[self._flat]
+        return ~(edge_shocked | shocked[self._tails] | shocked[self._heads])
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The ``N x N`` active edge mask ``costs`` was last brought up to (a fresh array)."""
+        mask = np.zeros(self._lengths.shape, dtype=bool)
+        mask.reshape(-1)[self._flat[self._active]] = True
+        return mask
 
     @property
     def raw_efficiency(self) -> float:
         """Raw efficiency of ``net``, summed exactly as :func:`network_efficiency` sums it."""
-        return _raw_efficiency(self.costs, self.net.year)
-
-    def _out_edges(self, mask: np.ndarray) -> _Graph:
-        return _length_graph(mask, self._lengths)
-
-    def _in_edges(self, mask: np.ndarray) -> _Graph:
-        return _length_graph(mask.T, self._lengths_in)
+        return _mean_pair_efficiency(self._pair_eff, self.net.year)
 
     @np.errstate(over="ignore")
     def update(self) -> None:
@@ -204,26 +229,36 @@ class DistanceEngine:
 
         The edges of ``mask`` gone inactive are removed first, leaving the
         kept edges, active both then and now; the active edges not kept are
-        then inserted.
+        then inserted. The pair efficiencies are rewritten at the entries
+        either pass changed, or all at once when those are an eighth or more.
         """
-        net, flat = self.net, self.costs.reshape(-1)  # a view: writes land in costs
-        before, after = self.mask, net.active_edge_mask
+        n, flat = self.net.n_nodes, self.costs.reshape(-1)  # a view: writes land in costs
+        before, after = self._active, self._read()
         kept = before & after
-        removed, added = _ends(before > kept), _ends(after > kept)
-        if removed[0].size:  # a scenario's restores remove nothing: skip the N x N scans
+        removed, added = np.flatnonzero(before > kept), np.flatnonzero(after > kept)
+        touched = []  # arrays of the flat entries that may have changed
+        if removed.size:  # a scenario's restores remove nothing: skip the N x N scans
             marked = np.zeros(flat.size, dtype=bool)
-            for _, entries in _tight(self.costs, self._lengths, *removed):
+            ends = self._tails[removed], self._heads[removed]
+            for _, entries in _tight(self.costs, self._lengths, *ends):
                 marked[entries] = True
             if marked.any():
-                _remove_marked(flat, self._out_edges(kept), self._in_edges(kept), marked, net.n_nodes)
-        if added[0].size:
-            changed = np.zeros(flat.size, dtype=bool)
-            row_starts = np.arange(net.n_nodes)[:, None] * net.n_nodes
-            for _, heads, candidates in _candidates(self.costs, self._lengths, *added):
+                out, into = _rows(kept, *self._out), _rows(kept, *self._in)
+                touched.append(_remove_marked(flat, out, into, marked, n))
+        if added.size:
+            changed, row_starts = self._changed, np.arange(n)[:, None] * n
+            ends = self._tails[added], self._heads[added]
+            for _, heads, candidates in _candidates(self.costs, self._lengths, *ends):
                 _relax(flat, (row_starts + heads).ravel(), candidates.ravel(), changed)
             if changed.any():
-                _settle(flat, self._out_edges(after), changed, net.n_nodes)
-        self.mask = after
+                touched += _settle(flat, _rows(after, *self._out), changed, n)
+        self._active = after
+        if sum(entries.size for entries in touched) * 8 >= flat.size:
+            self._pair_eff = _pair_efficiencies(self.costs)
+        else:
+            pair_eff = self._pair_eff.reshape(-1)  # a view, as flat is of costs
+            for entries in touched:  # off the diagonal, where costs are positive
+                pair_eff[entries] = 1.0 / flat[entries]
 
     @np.errstate(over="ignore")
     def without(
@@ -242,7 +277,7 @@ class DistanceEngine:
         the entries it marked are written back.
         """
         self.update()
-        n, mask = self.net.n_nodes, self.mask
+        n = self.net.n_nodes
         hit = np.zeros(n_probes, dtype=bool)
         for edges, _ in _tight(self.costs, self._lengths, tails, heads):
             hit[owner[edges]] = True
@@ -252,7 +287,7 @@ class DistanceEngine:
         if live.size == 0:
             return results
 
-        out, into = self._out_edges(mask), self._in_edges(mask)
+        out, into = _rows(self._active, *self._out), _rows(self._active, *self._in)
         out_slots, in_slots = _slots(out, tails, heads), _slots(into, heads, tails)
         layers = min(_PROBES_PER_PASS, live.size)
         out_layers, in_layers = _stacked(out, layers), _stacked(into, layers)
@@ -270,10 +305,9 @@ class DistanceEngine:
             size = chunk.size * n * n
             for edges, entries in _tight(self.costs, self._lengths, tails[lo:hi], heads[lo:hi]):
                 marked[layer[edges] * n * n + entries] = True
-            _remove_marked(flat[:size], out_layers, in_layers, marked[:size], n)
+            entries = _remove_marked(flat[:size], out_layers, in_layers, marked[:size], n)
             for k, probe in enumerate(chunk.tolist()):
                 results[probe] = _raw_efficiency(stack[k], self.net.year)
-            entries = np.flatnonzero(marked[:size])
             flat[entries] = intact[entries % (n * n)]
             marked[entries] = False
             out_layers.data[out_at] = out.data[out_slots[lo:hi]]
@@ -310,6 +344,19 @@ def _tight(costs: np.ndarray, lengths: np.ndarray, tails: np.ndarray, heads: np.
         yield k + s, rows * n + v[k]
 
 
+def _rows(
+    active: np.ndarray, order, ends: np.ndarray, lengths: np.ndarray, starts: np.ndarray
+) -> _Graph:
+    """The edges set in the edge vector ``active``, taken in ``order``, as compressed rows.
+
+    ``ends``, ``lengths`` and ``starts`` hold the far end and length of every
+    edge in ``order``, and where each row starts. The arrays equal those
+    :func:`_length_graph` takes from the ``N x N`` mask.
+    """
+    kept = np.flatnonzero(active[order])  # positions: a boolean index is about 5x slower
+    return _Graph(lengths[kept], ends[kept], np.searchsorted(kept, starts))
+
+
 def _stacked(graph: _Graph, layers: int) -> _Graph:
     """``layers`` copies of ``graph`` as one graph: row ``k * N + m`` is row ``m`` of copy ``k``."""
     size = graph.data.size
@@ -328,12 +375,12 @@ def _slots(graph: _Graph, rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def _remove_marked(
     flat: np.ndarray, out: _Graph, into: _Graph, marked: np.ndarray, n: int
-) -> None:
+) -> np.ndarray:
     """Finish a removal from its phase-1 seeds, set in ``marked``: grow, reset, relax, settle.
 
     ``flat`` holds one or more ``N x N`` layers; ``out`` and ``into`` are the
     graph after the removal, stacked alike (see :func:`_stacked`). On return
-    ``marked`` holds every entry the removal may have changed.
+    ``marked`` holds every entry the removal may have changed; returns them, flat.
     """
     frontier = np.flatnonzero(marked)
     while frontier.size:
@@ -352,14 +399,21 @@ def _remove_marked(
         candidates = flat[sources] + into.data[slots]
         _relax(flat, np.repeat(entries[a:b], deg), candidates, changed)
     _settle(flat, out, changed, n)
+    return entries
 
 
-def _settle(flat: np.ndarray, graph: _Graph, changed: np.ndarray, n: int) -> None:
-    """Relax the out-edges of every ``changed`` entry, round by round, until none improves."""
+def _settle(flat: np.ndarray, graph: _Graph, changed: np.ndarray, n: int) -> list[np.ndarray]:
+    """Relax the out-edges of every ``changed`` entry, round by round, until none improves.
+
+    Returns the frontier of each round, which together hold every entry that
+    improved, and leaves ``changed`` all False.
+    """
+    frontiers = []
     for _ in range(n + 1):
         frontier = np.flatnonzero(changed)
         if frontier.size == 0:
-            return
+            return frontiers
+        frontiers.append(frontier)
         changed[:] = False
         for a, b, deg, slots, targets in _edge_slices(graph, frontier, n):
             candidates = np.repeat(flat[frontier[a:b]], deg) + graph.data[slots]

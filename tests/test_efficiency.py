@@ -259,6 +259,7 @@ def all_elements(net: TradeNetwork) -> list:
 
 def assert_engine_exact(engine: DistanceEngine, label) -> None:
     assert np.array_equal(engine.costs, shortest_path_costs(engine.net)), label
+    assert np.array_equal(engine._pair_eff, efficiency._pair_efficiencies(engine.costs)), label
     assert engine.raw_efficiency == network_efficiency(engine.net).raw_efficiency, label
 
 
@@ -360,13 +361,13 @@ def test_without_equals_full_recompute_for_every_element(make, monkeypatch):
     live = sum(has_tight_row(net, intact, element) for element in elements)
     assert live > efficiency._PROBES_PER_PASS, live
     calls = []
-    raw_efficiency = efficiency._raw_efficiency
+    mean_pair_efficiency = efficiency._mean_pair_efficiency
 
     def counted(*args):
         calls.append(args)
-        return raw_efficiency(*args)
+        return mean_pair_efficiency(*args)
 
-    monkeypatch.setattr(efficiency, "_raw_efficiency", counted)
+    monkeypatch.setattr(efficiency, "_mean_pair_efficiency", counted)
     raws = without(engine, [[element] for element in elements])
     monkeypatch.undo()
     # One sum for the probes the seed test settles, one per probe that runs.
@@ -496,10 +497,109 @@ def test_engine_graph_arrays_equal_scipy_csr_and_csc(make):
         out = csr_matrix(lengths)
         into = out.tocsc()
         into.sort_indices()
-        for got, want in ((engine._out_edges(mask), out), (engine._in_edges(mask), into)):
+        for got, want in zip(engine_rows(engine), (out, into)):
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.data, want.data)
+
+
+def engine_rows(engine: DistanceEngine) -> tuple:
+    """The out-edges and in-edges of the engine's active edges, built from edge positions."""
+    return tuple(efficiency._rows(engine._active, *rows) for rows in (engine._out, engine._in))
+
+
+def assert_rows_equal_length_graph(engine: DistanceEngine, label) -> None:
+    mask, lengths = engine.net.active_edge_mask, engine.net.baseline_lengths
+    assert np.array_equal(engine.mask, mask), label
+    oracle = efficiency._length_graph(mask, lengths), efficiency._length_graph(mask.T, lengths.T)
+    for got, want in zip(engine_rows(engine), oracle):
+        for field, got_array, want_array in zip(want._fields, got, want):
+            assert np.array_equal(got_array, want_array), (label, field)
+
+
+def check_rows_from_edge_positions(net: TradeNetwork, edges: list, nodes: list) -> None:
+    """Shock ``edges``, then ``nodes``; an engine updated to that state and one built on it
+    both hold the rows ``_length_graph`` takes from the active edge mask."""
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    assert_rows_equal_length_graph(engine, "baseline")
+    net.shock_edges(edges).shock_nodes(nodes)
+    engine.update()
+    assert_rows_equal_length_graph(engine, "updated")
+    assert_rows_equal_length_graph(DistanceEngine(net, shortest_path_costs(net)), "built")
+
+
+ROW_STATES = {
+    "shocked_nodes": (lambda: random_network(np.random.default_rng(21), 12, 0.4), [], [1, 5, 9]),
+    "edges_alone": (lambda: random_network(np.random.default_rng(22), 12, 0.4), 5, []),
+    "edge_and_endpoint": (two_cliques_bridge, [(0, 1), (3, 4), (5, 4)], [0, 4]),
+    "isolated_node": (isolated_node_network, 3, [7]),
+    "every_edge_shocked": (star_network, "all", []),
+    "every_node_shocked": (star_network, [(0, 1)], "all"),
+}
+
+
+@pytest.mark.parametrize("make, edges, nodes", ROW_STATES.values(), ids=ROW_STATES.keys())
+def test_rows_from_edge_positions_equal_length_graph(make, edges, nodes):
+    net = make()
+    active = [(s, t) for s, t, _ in active_edges(net)]
+    if edges == "all":
+        edges = active
+    elif isinstance(edges, int):
+        edges = [active[k] for k in np.random.default_rng(23).permutation(len(active))[:edges]]
+    else:
+        edges = [(net.code_of(i), net.code_of(j)) for i, j in edges]
+    nodes = list(net.codes) if nodes == "all" else [net.code_of(i) for i in nodes]
+    check_rows_from_edge_positions(net, edges, nodes)
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 7), st.data())
+def test_rows_from_edge_positions_equal_length_graph_on_drawn_states(n, data):
+    drawn = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n * n, max_size=n * n))
+    weights = np.array(drawn).reshape(n, n)
+    np.fill_diagonal(weights, 0.0)
+    net = TradeNetwork(codes_for(n), weights)
+    active = [(s, t) for s, t, _ in active_edges(net)]
+    edges = data.draw(st.lists(st.sampled_from(active), unique=True)) if active else []
+    nodes = data.draw(st.lists(st.sampled_from(net.codes), unique=True))
+    check_rows_from_edge_positions(net, edges, nodes)
+
+
+@pytest.mark.parametrize("element, whole", [(("H00", "P004"), False), ("H03", True)])
+def test_pair_efficiencies_are_rewritten_where_changed_or_all_at_once(element, whole, monkeypatch):
+    # An edge into a leaf changes a few entries, which are rewritten one by
+    # one; a hub changes more than an eighth of them, and the whole matrix is
+    # recomputed. The shock removes, the restore inserts.
+    net = hub_network(n=41, n_hubs=5)
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    calls = []
+    pair_efficiencies = efficiency._pair_efficiencies
+    monkeypatch.setattr(
+        efficiency, "_pair_efficiencies", lambda costs: calls.append(1) or pair_efficiencies(costs)
+    )
+    for flip in (shock, TradeNetwork.restore):
+        before = engine.costs.copy()
+        flip(net, [element])
+        calls.clear()
+        engine.update()
+        assert len(calls) == whole, flip
+        assert not np.array_equal(engine.costs, before), flip
+        assert_engine_exact(engine, flip)
+
+
+def test_restoring_an_endpoint_leaves_an_edge_shocked_itself_inactive():
+    net = two_cliques_bridge()
+    engine = DistanceEngine(net, shortest_path_costs(net))
+    net.shock_edges([("E000", "E001")]).shock_nodes(["E000"])
+    engine.update()
+    net.restore(["E000"])
+    engine.update()
+    assert not engine.mask[0, 1] and engine.mask[0, 2] and engine.mask[1, 0]
+    assert_engine_exact(engine, "endpoint restored")
+    net.restore([("E000", "E001")])
+    engine.update()
+    assert engine.mask[0, 1]
+    assert_engine_exact(engine, "edge restored")
 
 
 def test_engine_builds_no_scipy_sparse_object(monkeypatch):
